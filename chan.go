@@ -9,6 +9,7 @@ import (
 	"repro/internal/metrics"
 	"repro/internal/park"
 	"repro/internal/queueapi"
+	"repro/internal/ringcore"
 )
 
 // ErrClosed is returned by Chan operations after Close: sends fail
@@ -67,74 +68,6 @@ func WithBackend(b Backend) Option {
 	return func(o *options) { o.backend = b }
 }
 
-// chanCore abstracts the nonblocking queue a Chan buffers on.
-type chanCore[T any] interface {
-	newHandle() (chanCoreHandle[T], error)
-	capacity() uint64
-	footprint() uint64
-	// empty is the backend's one-sided emptiness probe (see
-	// ringcore.Core.Empty): true proves an instant during the call at
-	// which every enqueued value had been claimed by a dequeuer, which
-	// is the linearization point that makes a direct handoff FIFO-safe.
-	empty() bool
-}
-
-// chanCoreHandle is the per-goroutine nonblocking view every backend
-// already provides: bounded-step enqueue/dequeue (scalar and native
-// batch) that report full/empty instead of blocking.
-type chanCoreHandle[T any] interface {
-	Enqueue(T) bool
-	Dequeue() (T, bool)
-	EnqueueBatch(vs []T) int
-	DequeueBatch(out []T) int
-}
-
-type wcqChanCore[T any] struct{ q *Queue[T] }
-
-func (c wcqChanCore[T]) newHandle() (chanCoreHandle[T], error) { return c.q.Handle() }
-func (c wcqChanCore[T]) capacity() uint64                      { return c.q.Cap() }
-func (c wcqChanCore[T]) footprint() uint64                     { return c.q.Footprint() }
-func (c wcqChanCore[T]) empty() bool                           { return c.q.q.Empty() }
-
-type scqChanCore[T any] struct{ q *LockFreeQueue[T] }
-
-func (c scqChanCore[T]) newHandle() (chanCoreHandle[T], error) { return c.q.Handle() }
-func (c scqChanCore[T]) capacity() uint64                      { return c.q.Cap() }
-func (c scqChanCore[T]) footprint() uint64                     { return c.q.Footprint() }
-func (c scqChanCore[T]) empty() bool                           { return c.q.q.Empty() }
-
-type shardedChanCore[T any] struct{ q *ShardedQueue[T] }
-
-func (c shardedChanCore[T]) newHandle() (chanCoreHandle[T], error) { return c.q.Handle() }
-func (c shardedChanCore[T]) capacity() uint64                      { return c.q.Cap() }
-func (c shardedChanCore[T]) footprint() uint64                     { return c.q.Footprint() }
-func (c shardedChanCore[T]) empty() bool                           { return c.q.q.Empty() }
-
-type unboundedChanCore[T any] struct{ q *UnboundedQueue[T] }
-
-func (c unboundedChanCore[T]) newHandle() (chanCoreHandle[T], error) {
-	h, err := c.q.Handle()
-	if err != nil {
-		return nil, err
-	}
-	return unboundedChanHandle[T]{h}, nil
-}
-func (c unboundedChanCore[T]) capacity() uint64  { return 0 }
-func (c unboundedChanCore[T]) footprint() uint64 { return c.q.Footprint() }
-func (c unboundedChanCore[T]) empty() bool       { return c.q.q.Empty() }
-
-// unboundedChanHandle adapts the never-full unbounded handle to the
-// bool-returning core contract: Enqueue always reports success, so
-// senders never park on notFull.
-type unboundedChanHandle[T any] struct{ h *UnboundedHandle[T] }
-
-func (h unboundedChanHandle[T]) Enqueue(v T) bool        { h.h.Enqueue(v); return true }
-func (h unboundedChanHandle[T]) Dequeue() (T, bool)      { return h.h.Dequeue() }
-func (h unboundedChanHandle[T]) EnqueueBatch(vs []T) int { return h.h.EnqueueBatch(vs) }
-func (h unboundedChanHandle[T]) DequeueBatch(out []T) int {
-	return h.h.DequeueBatch(out)
-}
-
 // Chan is a blocking, closable facade over one of the nonblocking
 // queues — the buffered-channel shape services want at the edge of a
 // system, layered on the wait-free cores without touching their hot
@@ -162,7 +95,7 @@ func (h unboundedChanHandle[T]) DequeueBatch(out []T) int {
 // ring-sized steps instead — per shard, for the sharded variant), and
 // only Recv parks. The close contract is unchanged.
 type Chan[T any] struct {
-	core     chanCore[T]
+	core     ringcore.Core[T]
 	notEmpty park.Point // receivers park here
 	notFull  park.Point // senders park here
 	// shardedFull marks the sharded backend, where "full" is a
@@ -202,7 +135,7 @@ type Chan[T any] struct {
 // concurrent use by multiple goroutines.
 type ChanHandle[T any] struct {
 	c *Chan[T]
-	h chanCoreHandle[T]
+	h ringcore.Handle[T]
 	// rng is this handle's private jitter stream for the spin/yield
 	// wait phases: per-handle (so no sharing, no contention) and seeded
 	// from a global counter (so a herd of handles decorrelates).
@@ -230,20 +163,21 @@ var handleSeed atomic.Uint64
 // for the sharded variant) — and Send never blocks.
 func NewChan[T any](capacity uint64, maxThreads int, opts ...Option) (*Chan[T], error) {
 	o := buildOpts(opts)
-	var core chanCore[T]
+	var core ringcore.Core[T]
 	switch o.backend {
-	case BackendWCQ:
-		q, err := New[T](capacity, maxThreads, opts...)
+	case BackendWCQ, BackendSCQ:
+		kind, census := ringcore.KindWCQ, maxThreads
+		if o.backend == BackendSCQ {
+			kind, census = ringcore.KindSCQ, 1 // no census: maxThreads is ignored
+		}
+		if err := validate(capacity, census); err != nil {
+			return nil, err
+		}
+		r, err := ringcore.New[T](kind, capacity, maxThreads, o.core())
 		if err != nil {
 			return nil, err
 		}
-		core = wcqChanCore[T]{q}
-	case BackendSCQ:
-		q, err := NewLockFree[T](capacity, opts...)
-		if err != nil {
-			return nil, err
-		}
-		core = scqChanCore[T]{q}
+		core = r
 	case BackendSharded:
 		// WithUnboundedShards would silently turn this bounded backend
 		// unbounded (Cap 0, no Send backpressure); the unbounded-sharded
@@ -255,7 +189,7 @@ func NewChan[T any](capacity uint64, maxThreads int, opts ...Option) (*Chan[T], 
 		if err != nil {
 			return nil, err
 		}
-		core = shardedChanCore[T]{q}
+		core = q.q.Core()
 	case BackendUnbounded:
 		// The capacity parameter becomes the linked rings' size: the
 		// buffer has no bound, so Send never parks. Validate it here —
@@ -268,7 +202,7 @@ func NewChan[T any](capacity uint64, maxThreads int, opts ...Option) (*Chan[T], 
 		if err != nil {
 			return nil, err
 		}
-		core = unboundedChanCore[T]{q}
+		core = q.q.Core()
 	case BackendShardedUnbounded:
 		// Like BackendUnbounded, capacity is a ring size (here: each
 		// shard's), never a bound, so Send never parks.
@@ -279,12 +213,12 @@ func NewChan[T any](capacity uint64, maxThreads int, opts ...Option) (*Chan[T], 
 		if err != nil {
 			return nil, err
 		}
-		core = shardedChanCore[T]{q}
+		core = q.q.Core()
 	default:
 		return nil, fmt.Errorf("wfqueue: unknown chan backend %d", o.backend)
 	}
 	c := &Chan[T]{core: core, shardedFull: o.backend == BackendSharded, met: o.metrics}
-	c.handoff = o.handoff.Enabled()
+	c.handoff = !o.noHandoff
 	c.takeover = c.handoff && (o.backend == BackendWCQ || o.backend == BackendSCQ)
 	c.notEmpty.SetMetrics(o.metrics)
 	c.notFull.SetMetrics(o.metrics)
@@ -327,7 +261,7 @@ func (c *Chan[T]) wakeNotFullN(n int) {
 // Handle registers the calling goroutine and returns its handle. For
 // census-bound backends it fails once maxThreads handles exist.
 func (c *Chan[T]) Handle() (*ChanHandle[T], error) {
-	h, err := c.core.newHandle()
+	h, err := c.core.Acquire()
 	if err != nil {
 		return nil, err
 	}
@@ -336,14 +270,14 @@ func (c *Chan[T]) Handle() (*ChanHandle[T], error) {
 
 // Cap returns the buffer capacity; 0 means unbounded
 // (BackendUnbounded and BackendShardedUnbounded).
-func (c *Chan[T]) Cap() uint64 { return c.core.capacity() }
+func (c *Chan[T]) Cap() uint64 { return c.core.Cap() }
 
 // Footprint returns the bytes the backing queue retains. For bounded
 // backends this is the construction-time allocation and never changes
 // (parked waiters draw from a shared pool); for BackendUnbounded and
 // BackendShardedUnbounded it is the live ring footprint, which grows
 // with buffered values and shrinks after a drain.
-func (c *Chan[T]) Footprint() uint64 { return c.core.footprint() }
+func (c *Chan[T]) Footprint() uint64 { return c.core.Footprint() }
 
 // Closed reports whether Close has been called.
 func (c *Chan[T]) Closed() bool { return c.closed.Load() }

@@ -58,7 +58,7 @@ func (h *ChanHandle[T]) tryHandoff(v T) bool {
 	if !c.handoff || c.notEmpty.Waiters() == 0 {
 		return false
 	}
-	if !c.core.empty() {
+	if !c.core.Empty() {
 		// Buffered values exist: the parked receivers are about to be
 		// satisfied from the ring (or are mid-registration); delivering
 		// v around them would break FIFO. Not a miss — no rendezvous is
@@ -161,7 +161,7 @@ func (h *ChanHandle[T]) recvCtxHandoff(ctx context.Context) (T, error) {
 		// Re-check after registering (lost-wakeup protocol): a sender
 		// that missed the registration must have enqueued first, which
 		// this probe observes.
-		if !c.core.empty() || (c.closed.Load() && c.sending.Load() == 0) {
+		if !c.core.Empty() || (c.closed.Load() && c.sending.Load() == 0) {
 			if !w.Disarm() {
 				// Lost the race to a claimer: the handoff owns this
 				// registration now.
@@ -249,7 +249,7 @@ func (h *ChanHandle[T]) recvManyCtxHandoff(ctx context.Context, out []T) (int, e
 			return sn, nil
 		}
 		w := c.notEmpty.PrepareXfer(unsafe.Pointer(&h.rcell))
-		if !c.core.empty() || (c.closed.Load() && c.sending.Load() == 0) {
+		if !c.core.Empty() || (c.closed.Load() && c.sending.Load() == 0) {
 			if !w.Disarm() {
 				<-w.Ready()
 				out[0] = h.rcell

@@ -418,12 +418,51 @@ func TestChanBackendString(t *testing.T) {
 	}
 }
 
+// TestChanInvalidConstruction pins NewChan's constructor contract per
+// backend: every backend rejects a bad capacity, the census backends
+// reject maxThreads 0, and BackendSCQ — which has no census — ignores
+// maxThreads altogether.
 func TestChanInvalidConstruction(t *testing.T) {
-	if _, err := NewChan[int](3, 2); err == nil {
-		t.Fatal("non-power-of-two capacity accepted")
-	}
 	if _, err := NewChan[int](8, 2, WithBackend(Backend(99))); err == nil {
 		t.Fatal("unknown backend accepted")
+	}
+	for _, tc := range []struct {
+		backend Backend
+		census  bool
+	}{
+		{BackendWCQ, true},
+		{BackendSCQ, false},
+		{BackendSharded, true},
+		{BackendUnbounded, true},
+		{BackendShardedUnbounded, true},
+	} {
+		t.Run(tc.backend.String(), func(t *testing.T) {
+			for _, capacity := range []uint64{0, 3} {
+				if _, err := NewChan[int](capacity, 2, WithBackend(tc.backend)); err == nil {
+					t.Errorf("capacity %d accepted", capacity)
+				}
+			}
+			c, err := NewChan[int](8, 0, WithBackend(tc.backend))
+			if tc.census {
+				if err == nil {
+					t.Fatal("maxThreads 0 accepted by a census backend")
+				}
+				return
+			}
+			if err != nil {
+				t.Fatalf("maxThreads 0 rejected by a census-free backend: %v", err)
+			}
+			h, err := c.Handle()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := h.Send(7); err != nil {
+				t.Fatal(err)
+			}
+			if v, err := h.Recv(); err != nil || v != 7 {
+				t.Fatalf("Recv = (%d, %v), want 7", v, err)
+			}
+		})
 	}
 }
 

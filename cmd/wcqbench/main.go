@@ -40,7 +40,7 @@ import (
 	"repro/internal/benchfmt"
 	"repro/internal/clihelper"
 	"repro/internal/harness"
-	"repro/internal/ringcore"
+	"repro/internal/queues"
 )
 
 func main() {
@@ -524,7 +524,7 @@ func reportWakeupLatency(f harness.Figure, opts harness.RunOpts, shared *clihelp
 			cfg, err := shared.Config(4)
 			if err == nil && hname != "" {
 				label = name + "/" + hname
-				cfg.Handoff, err = ringcore.HandoffByName(hname)
+				cfg.Handoff, err = queues.HandoffByName(hname)
 			}
 			if err != nil {
 				fmt.Fprintf(&sb, "%-16s n/a (%v)\n", label, err)

@@ -119,14 +119,11 @@ func (f *Flags) Config(maxThreads int) (queues.Config, error) {
 	return cfg, nil
 }
 
-// HandoffMode resolves the -handoff flag to a ringcore.HandoffMode
+// HandoffMode resolves the -handoff flag to a queues.HandoffMode
 // (the default — enabled — when the flag is unset); an unknown name is
 // a usage error.
-func (f *Flags) HandoffMode() (ringcore.HandoffMode, error) {
-	if f.Handoff == "" {
-		return ringcore.HandoffDefault, nil
-	}
-	m, err := ringcore.HandoffByName(f.Handoff)
+func (f *Flags) HandoffMode() (queues.HandoffMode, error) {
+	m, err := queues.HandoffByName(f.Handoff)
 	if err != nil {
 		return 0, fmt.Errorf("-handoff: %w", err)
 	}

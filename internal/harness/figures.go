@@ -57,7 +57,7 @@ type Figure struct {
 	// blocking wait ladder and the handoff hit rate.
 	Splits [][2]int
 	// Handoffs lists the handoff settings a Splits figure sweeps ("on",
-	// "off" — ringcore.HandoffByName vocabulary).
+	// "off" — queues.HandoffByName vocabulary).
 	Handoffs []string
 }
 
@@ -208,7 +208,7 @@ type RunOpts struct {
 	// Handoff forces the Chan facades' direct-handoff setting for
 	// every figure (cmd/wcqbench -handoff). The handoff figure h1
 	// ignores it — the on/off cross IS that figure's sweep.
-	Handoff ringcore.HandoffMode
+	Handoff queues.HandoffMode
 }
 
 func (o RunOpts) withDefaults() RunOpts {

@@ -6,7 +6,6 @@ import (
 	"repro/internal/atomicx"
 	"repro/internal/metrics"
 	"repro/internal/queues"
-	"repro/internal/ringcore"
 	"repro/internal/stats"
 )
 
@@ -75,7 +74,7 @@ func (f Figure) runHandoff(opts RunOpts, qs []string) []Point {
 				continue
 			}
 			for _, hname := range f.Handoffs {
-				mode, merr := ringcore.HandoffByName(hname)
+				mode, merr := queues.HandoffByName(hname)
 				cl := &cell{pt: Point{Queue: name, Threads: total,
 					Producers: producers, Consumers: consumers, Handoff: hname}}
 				if merr != nil {

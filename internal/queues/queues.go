@@ -72,7 +72,37 @@ type Config struct {
 	// Handoff toggles the direct-handoff rendezvous fast path of the
 	// Chan facades (the zero value keeps the default: enabled). The
 	// nonblocking variants ignore it.
-	Handoff ringcore.HandoffMode
+	Handoff HandoffMode
+}
+
+// HandoffMode is the tri-state direct-handoff selector: the zero value
+// keeps the default (enabled) so a Config that never heard of handoff
+// stays correct, while HandoffOff pins the pre-handoff ring path for
+// A/B comparison.
+type HandoffMode uint8
+
+const (
+	// HandoffDefault applies the default, which is enabled.
+	HandoffDefault HandoffMode = iota
+	// HandoffOn enables the direct-handoff rendezvous path explicitly.
+	HandoffOn
+	// HandoffOff disables it: every value moves through the ring and
+	// every wake is a plain token (the pre-handoff behavior).
+	HandoffOff
+)
+
+// HandoffByName maps the -handoff flag vocabulary ("", "on", "off") to
+// a mode, erroring on unknown names.
+func HandoffByName(name string) (HandoffMode, error) {
+	switch name {
+	case "":
+		return HandoffDefault, nil
+	case "on":
+		return HandoffOn, nil
+	case "off":
+		return HandoffOff, nil
+	}
+	return 0, fmt.Errorf("queues: unknown handoff mode %q (have on, off)", name)
 }
 
 func (c Config) withDefaults() Config {
@@ -98,9 +128,6 @@ func coreOptions(cfg Config) *ringcore.Options {
 	o.Mode = cfg.Mode
 	if cfg.Metrics != nil {
 		o.Metrics = cfg.Metrics
-	}
-	if cfg.Wait != nil {
-		o.Wait = cfg.Wait
 	}
 	return &o
 }
@@ -440,19 +467,11 @@ func newChanBuilder(name string, backend wfqueue.Backend) Builder {
 		if cfg.Metrics != nil {
 			opts = append(opts, wfqueue.WithMetrics(cfg.Metrics))
 		}
-		if wait := cfg.Wait; wait != nil {
-			opts = append(opts, wfqueue.WithWaitStrategy(wait))
-		} else if o := cfg.Core; o != nil && o.Wait != nil {
-			opts = append(opts, wfqueue.WithWaitStrategy(o.Wait))
+		if cfg.Wait != nil {
+			opts = append(opts, wfqueue.WithWaitStrategy(cfg.Wait))
 		}
-		handoff := cfg.Handoff
-		if handoff == ringcore.HandoffDefault {
-			if o := cfg.Core; o != nil {
-				handoff = o.Handoff
-			}
-		}
-		if handoff != ringcore.HandoffDefault {
-			opts = append(opts, wfqueue.WithHandoff(handoff == ringcore.HandoffOn))
+		if cfg.Handoff != HandoffDefault {
+			opts = append(opts, wfqueue.WithHandoff(cfg.Handoff == HandoffOn))
 		}
 		if o := cfg.Core; o != nil {
 			opts = append(opts,

@@ -218,30 +218,6 @@ func TestRingMPMC(t *testing.T) {
 	}
 }
 
-func TestQueueSequential(t *testing.T) {
-	q, err := NewQueue[string](4, atomicx.NativeFAA)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, ok := q.Dequeue(); ok {
-		t.Fatal("empty queue returned a value")
-	}
-	for _, s := range []string{"a", "b", "c", "d"} {
-		if !q.Enqueue(s) {
-			t.Fatalf("enqueue %q failed", s)
-		}
-	}
-	if q.Enqueue("overflow") {
-		t.Fatal("enqueue beyond capacity succeeded")
-	}
-	for _, want := range []string{"a", "b", "c", "d"} {
-		v, ok := q.Dequeue()
-		if !ok || v != want {
-			t.Fatalf("got (%q,%v), want %q", v, ok, want)
-		}
-	}
-}
-
 func TestQueueFullEmptyCycles(t *testing.T) {
 	q, _ := NewQueue[int](8, atomicx.NativeFAA)
 	for round := 0; round < 200; round++ {

@@ -2,55 +2,21 @@ package wcq
 
 import (
 	"fmt"
-	"sync/atomic"
 
-	"repro/internal/metrics"
+	"repro/internal/payload"
 )
 
-// Queue is a bounded wait-free MPMC queue of arbitrary values, built
-// from two wait-free Rings and a data array via the paper's Figure 2
-// indirection: fq circulates free indices, aq circulates allocated
-// ones. All memory is allocated at construction.
+// Queue is a bounded wait-free MPMC queue of arbitrary values: the
+// shared Figure 2 payload layer (internal/payload) over two wait-free
+// Rings. All memory is allocated at construction.
 type Queue[T any] struct {
-	aq   *Ring
-	fq   *Ring
-	data []T
-
-	// Sealing state for the unbounded (Appendix A) construction; see
-	// Drained for the protocol.
-	sealed   atomic.Bool
-	inflight atomic.Int64
+	*payload.Queue[T]
+	aq, fq *Ring
 }
 
 // QueueHandle is a registered thread's capability to operate on a
 // Queue. Like Handle it must not be shared between goroutines.
-type QueueHandle[T any] struct {
-	q   *Queue[T]
-	aqh *Handle
-	fqh *Handle
-	// idxBuf carries index runs between fq, the data array and aq in
-	// the batch operations. It grows to the largest batch this handle
-	// has seen and is then reused forever, so the steady-state batch
-	// hot path allocates nothing.
-	idxBuf []uint64
-}
-
-// scratch returns the handle's index buffer, grown to hold n entries
-// but never past the ring capacity — at most Cap() indices can move
-// per call, so a batch far larger than the ring must not pin a
-// buffer sized to the batch (short counts are within the batch
-// contract; the caller resumes with the remainder).
-//
-//wfq:allocok grows to ring capacity once per handle, then reused
-func (h *QueueHandle[T]) scratch(n int) []uint64 {
-	if c := int(h.q.Cap()); n > c {
-		n = c
-	}
-	if cap(h.idxBuf) < n {
-		h.idxBuf = make([]uint64, n)
-	}
-	return h.idxBuf[:n]
-}
+type QueueHandle[T any] = payload.Handle[T, *Handle]
 
 // NewQueue returns an empty Queue holding up to capacity values,
 // usable by at most maxThreads registered handles. capacity must be a
@@ -64,10 +30,11 @@ func NewQueue[T any](capacity uint64, maxThreads int, opts *Options) (*Queue[T],
 	if err != nil {
 		return nil, err
 	}
-	return &Queue[T]{aq: aq, fq: fq, data: make([]T, capacity)}, nil
+	return &Queue[T]{Queue: payload.New[T](aq, fq), aq: aq, fq: fq}, nil
 }
 
-// Register allocates per-thread records in both underlying rings.
+// Register allocates per-thread records in both underlying rings; it
+// fails once the census is exhausted.
 func (q *Queue[T]) Register() (*QueueHandle[T], error) {
 	aqh, err := q.aq.Register()
 	if err != nil {
@@ -77,162 +44,5 @@ func (q *Queue[T]) Register() (*QueueHandle[T], error) {
 	if err != nil {
 		return nil, fmt.Errorf("wcq: registering with fq: %w", err)
 	}
-	return &QueueHandle[T]{q: q, aqh: aqh, fqh: fqh}, nil
-}
-
-// Enqueue appends v; it returns false when the queue is full. The
-// operation is wait-free.
-//
-//wfq:noalloc
-func (h *QueueHandle[T]) Enqueue(v T) bool {
-	idx, ok := h.fqh.Dequeue()
-	if !ok {
-		return false
-	}
-	h.q.data[idx] = v
-	h.aqh.Enqueue(idx)
-	return true
-}
-
-// Dequeue removes and returns the oldest value; ok is false when the
-// queue is empty. The operation is wait-free.
-//
-//wfq:noalloc
-func (h *QueueHandle[T]) Dequeue() (v T, ok bool) {
-	idx, ok := h.aqh.Dequeue()
-	if !ok {
-		var zero T
-		return zero, false
-	}
-	v = h.q.data[idx]
-	var zero T
-	h.q.data[idx] = zero // release references before recycling the slot
-	h.fqh.Enqueue(idx)
-	return v, true
-}
-
-// EnqueueBatch appends a prefix of vs in order and returns its length;
-// a short count means the queue filled up mid-batch. Index traffic
-// with fq/aq moves through the native wait-free ring batches, so the
-// fast path pays one F&A per ring per batch instead of one per
-// element. The operation is wait-free (two bounded ring batches).
-//
-//wfq:noalloc
-func (h *QueueHandle[T]) EnqueueBatch(vs []T) int {
-	if len(vs) == 0 {
-		return 0
-	}
-	buf := h.scratch(len(vs))
-	n := h.fqh.DequeueBatch(buf)
-	for j := 0; j < n; j++ {
-		h.q.data[buf[j]] = vs[j]
-	}
-	h.aqh.EnqueueBatch(buf[:n])
-	return n
-}
-
-// DequeueBatch fills a prefix of out with the oldest values and
-// returns its length; 0 means the queue appeared empty. Wait-free
-// like EnqueueBatch.
-//
-//wfq:noalloc
-func (h *QueueHandle[T]) DequeueBatch(out []T) int {
-	if len(out) == 0 {
-		return 0
-	}
-	buf := h.scratch(len(out))
-	n := h.aqh.DequeueBatch(buf)
-	var zero T
-	for j := 0; j < n; j++ {
-		idx := buf[j]
-		out[j] = h.q.data[idx]
-		h.q.data[idx] = zero // release references before recycling the slot
-	}
-	h.fqh.EnqueueBatch(buf[:n])
-	return n
-}
-
-// EnqueueSealedBatch is EnqueueBatch unless the queue is sealed, in
-// which case it appends nothing (the unbounded construction's batch
-// enqueue rolls over to a fresh ring on a short count).
-//
-//wfq:noalloc
-func (h *QueueHandle[T]) EnqueueSealedBatch(vs []T) int {
-	q := h.q
-	q.inflight.Add(1)
-	defer q.inflight.Add(-1)
-	if q.sealed.Load() {
-		return 0
-	}
-	return h.EnqueueBatch(vs)
-}
-
-// Seal closes the queue for enqueues (the appendix's finalize_wCQ):
-// EnqueueSealed fails once the seal is visible, while dequeues drain
-// the remaining elements normally.
-//
-//wfq:noalloc
-func (q *Queue[T]) Seal() { q.sealed.Store(true) }
-
-// Reset reopens a sealed queue for enqueues. It is only sound on a
-// queue that is Drained and reachable by no other goroutine (the
-// unbounded construction's ring recycling, where the retire handshake
-// guarantees exclusivity); the rings' monotonic cycle counters carry
-// on, so no other state needs rewinding. Handles registered before the
-// seal stay valid.
-//
-//wfq:noalloc
-func (q *Queue[T]) Reset() { q.sealed.Store(false) }
-
-// Drained reports that no value can ever be produced by this queue
-// again: sealed, no enqueue in flight, and every enqueue ticket
-// examined. EnqueueSealed registers in inflight BEFORE checking the
-// seal, so with sequentially consistent atomics this is exact.
-//
-//wfq:noalloc
-func (q *Queue[T]) Drained() bool {
-	return q.sealed.Load() && q.inflight.Load() == 0 && q.aq.Drained()
-}
-
-// EnqueueSealed appends v unless the queue is full or sealed.
-//
-//wfq:noalloc
-func (h *QueueHandle[T]) EnqueueSealed(v T) bool {
-	q := h.q
-	q.inflight.Add(1)
-	defer q.inflight.Add(-1)
-	if q.sealed.Load() {
-		return false
-	}
-	return h.Enqueue(v)
-}
-
-// Empty reports that the queue held no value at some instant during
-// the call: aq's head counter had caught up with its tail counter, so
-// every enqueued value had been claimed by a dequeue. The probe is
-// one-sided (a concurrent enqueue may land right after), which is the
-// guarantee the blocking facade's direct handoff needs — handing a
-// value past the ring is FIFO-safe iff nothing unclaimed precedes it.
-//
-//wfq:noalloc
-func (q *Queue[T]) Empty() bool { return q.aq.Drained() }
-
-// Cap returns the queue capacity.
-//
-//wfq:noalloc
-func (q *Queue[T]) Cap() uint64 { return q.aq.Cap() }
-
-// Metrics returns the sink both underlying rings record into (nil when
-// metrics are disabled). aq and fq are built from the same Options, so
-// one accessor covers the queue.
-//
-//wfq:noalloc
-func (q *Queue[T]) Metrics() *metrics.Sink { return q.aq.Metrics() }
-
-// Footprint returns the statically allocated byte size of the queue
-// (both rings, thread records and the payload array slots).
-//
-//wfq:noalloc
-func (q *Queue[T]) Footprint() uint64 {
-	return q.aq.Footprint() + q.fq.Footprint() + uint64(cap(q.data))*8
+	return payload.NewHandle(q.Queue, aqh, fqh), nil
 }

@@ -69,7 +69,7 @@ type options struct {
 	unboundedShards bool
 	metrics         *metrics.Sink
 	wait            *backoff.Strategy
-	handoff         ringcore.HandoffMode
+	noHandoff       bool
 }
 
 // core translates the accumulated options into the shared ring-core
@@ -81,8 +81,6 @@ func (o options) core() *ringcore.Options {
 		DeqPatience: o.deqPatience,
 		HelpDelay:   o.helpDelay,
 		Metrics:     o.metrics,
-		Wait:        o.wait,
-		Handoff:     o.handoff,
 	}
 }
 
@@ -180,13 +178,7 @@ func WithWaitStrategy(s *WaitStrategy) Option {
 // the A/B baseline the h1 figure and the perf smoke compare against.
 // Constructors without blocking operations ignore this option.
 func WithHandoff(enabled bool) Option {
-	return func(o *options) {
-		if enabled {
-			o.handoff = ringcore.HandoffOn
-		} else {
-			o.handoff = ringcore.HandoffOff
-		}
-	}
+	return func(o *options) { o.noHandoff = !enabled }
 }
 
 // WithShards sets the shard count for NewSharded (default 4). The
