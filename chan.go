@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"sync/atomic"
+	"unsafe"
 
 	"repro/internal/backoff"
 	"repro/internal/metrics"
@@ -115,13 +116,9 @@ type Chan[T any] struct {
 	// the closed check may still be buffering its value, and draining
 	// receivers must not give up before it lands (or aborts).
 	sending atomic.Int64
-	// handoff enables the direct-handoff rendezvous fast path: a
-	// sender that finds a receiver parked on notEmpty (and the queue
-	// verifiably empty, preserving FIFO) publishes its value straight
-	// into the waiter's transfer cell and wakes it — the value never
-	// touches the ring. See chan_handoff.go.
-	handoff bool
-	// takeover enables the symmetric sender-side path: a receiver that
+	// takeover enables the sender-side half of the direct handoff (see
+	// chan_handoff.go; the receiver-side half runs on every backend): a
+	// receiver that
 	// frees a slot enqueues a parked sender's pending value on its
 	// behalf, so the woken sender returns without re-running its retry
 	// loop. Only single-ring bounded backends qualify — on the sharded
@@ -185,7 +182,7 @@ func NewChan[T any](capacity uint64, maxThreads int, opts ...Option) (*Chan[T], 
 		if o.unboundedShards {
 			return nil, fmt.Errorf("wfqueue: WithUnboundedShards conflicts with BackendSharded; use BackendShardedUnbounded")
 		}
-		q, err := NewSharded[T](capacity, maxThreads, opts...)
+		q, err := newSharded[T](capacity, maxThreads, o)
 		if err != nil {
 			return nil, err
 		}
@@ -198,7 +195,8 @@ func NewChan[T any](capacity uint64, maxThreads int, opts ...Option) (*Chan[T], 
 		if err := validate(capacity, maxThreads); err != nil {
 			return nil, err
 		}
-		q, err := NewUnbounded[T](maxThreads, append(opts, WithRingCapacity(capacity))...)
+		o.ringCap = capacity
+		q, err := newUnbounded[T](maxThreads, o)
 		if err != nil {
 			return nil, err
 		}
@@ -209,7 +207,8 @@ func NewChan[T any](capacity uint64, maxThreads int, opts ...Option) (*Chan[T], 
 		if err := validate(capacity, maxThreads); err != nil {
 			return nil, err
 		}
-		q, err := NewSharded[T](capacity, maxThreads, append(opts, WithUnboundedShards(o.shards))...)
+		o.unboundedShards = true
+		q, err := newSharded[T](capacity, maxThreads, o)
 		if err != nil {
 			return nil, err
 		}
@@ -217,9 +216,12 @@ func NewChan[T any](capacity uint64, maxThreads int, opts ...Option) (*Chan[T], 
 	default:
 		return nil, fmt.Errorf("wfqueue: unknown chan backend %d", o.backend)
 	}
-	c := &Chan[T]{core: core, shardedFull: o.backend == BackendSharded, met: o.metrics}
-	c.handoff = !o.noHandoff
-	c.takeover = c.handoff && (o.backend == BackendWCQ || o.backend == BackendSCQ)
+	c := &Chan[T]{
+		core:        core,
+		shardedFull: o.backend == BackendSharded,
+		takeover:    o.backend == BackendWCQ || o.backend == BackendSCQ,
+		met:         o.metrics,
+	}
 	c.notEmpty.SetMetrics(o.metrics)
 	c.notFull.SetMetrics(o.metrics)
 	c.notEmpty.SetStrategy(o.wait)
@@ -239,15 +241,9 @@ func (c *Chan[T]) Stats() MetricsSnapshot {
 	return s
 }
 
-// wakeNotFull wakes parked senders after a slot frees up: one sender
-// on single-ring backends (any sender can use any slot), all of them
-// on the sharded backend (see shardedFull).
-//
-//wfq:noalloc
-func (c *Chan[T]) wakeNotFull() { c.wakeNotFullN(1) }
-
-// wakeNotFullN wakes parked senders after n slots freed up (a batch
-// receive), with the same sharded-backend broadcast rule.
+// wakeNotFullN wakes parked senders after n slots freed up: n
+// senders on single-ring backends (any sender can use any slot), all
+// of them on the sharded backend (see shardedFull).
 //
 //wfq:noalloc
 func (c *Chan[T]) wakeNotFullN(n int) {
@@ -650,68 +646,77 @@ func (h *ChanHandle[T]) RecvMany(out []T) (int, error) {
 
 // RecvManyCtx is RecvMany bounded by ctx: it returns ctx.Err() if the
 // context expires while the buffer is still empty.
+//
+// A landed handoff satisfies the "at least one value" contract with
+// out[0]: the claim protocol transfers exactly one value per
+// registration (see RecvCtx for the protocol).
 func (h *ChanHandle[T]) RecvManyCtx(ctx context.Context, out []T) (int, error) {
 	if len(out) == 0 {
 		return 0, nil
 	}
-	if h.c.handoff {
-		return h.recvManyCtxHandoff(ctx, out)
-	}
-	return h.recvManyCtxRing(ctx, out)
-}
-
-// recvManyCtxRing is the pre-handoff blocking batch receive, kept
-// verbatim as the -handoff=off path (the A/B baseline the h1 figure
-// and the perf-smoke gate compare against).
-func (h *ChanHandle[T]) recvManyCtxRing(ctx context.Context, out []T) (int, error) {
 	c := h.c
 	for {
 		if n := h.h.DequeueBatch(out); n > 0 {
-			c.wakeNotFullN(n)
+			h.releaseSlots(n)
 			return n, nil
 		}
 		if err := ctx.Err(); err != nil {
 			return 0, err
 		}
-		// Phases 1-2: spin-then-yield before parking. A hit on the
-		// closed-and-drained arm (got stays 0) falls through to the
-		// registered close-drain check below.
-		got := 0
+		// Consuming, unregistered spin, as RecvCtx.
+		sn := 0
 		if c.notEmpty.SpinWait(&h.rng, func() bool {
 			if n := h.h.DequeueBatch(out); n > 0 {
-				got = n
+				sn = n
 				return true
 			}
 			return c.closed.Load() && c.sending.Load() == 0
-		}) && got > 0 {
-			c.wakeNotFullN(got)
-			return got, nil
+		}) && sn > 0 {
+			h.releaseSlots(sn)
+			return sn, nil
 		}
-		w := c.notEmpty.Prepare()
-		// Re-check after registering (lost-wakeup protocol).
-		if n := h.h.DequeueBatch(out); n > 0 {
-			c.notEmpty.Abort(w)
-			c.wakeNotFullN(n)
-			return n, nil
-		}
-		if c.closed.Load() && c.sending.Load() == 0 {
+		w := c.notEmpty.PrepareXfer(unsafe.Pointer(&h.rcell))
+		if !c.core.Empty() || (c.closed.Load() && c.sending.Load() == 0) {
+			if !w.Disarm() {
+				<-w.Ready()
+				out[0] = h.rcell
+				c.notEmpty.Finish(w)
+				return 1, nil
+			}
 			if n := h.h.DequeueBatch(out); n > 0 {
 				c.notEmpty.Abort(w)
-				c.wakeNotFullN(n)
+				h.releaseSlots(n)
 				return n, nil
 			}
+			if c.closed.Load() && c.sending.Load() == 0 {
+				if n := h.h.DequeueBatch(out); n > 0 {
+					c.notEmpty.Abort(w)
+					h.releaseSlots(n)
+					return n, nil
+				}
+				c.notEmpty.Abort(w)
+				c.notEmpty.WakeAll()
+				c.met.Inc(metrics.CloseDrain)
+				return 0, ErrClosed
+			}
 			c.notEmpty.Abort(w)
-			// Nudge any sibling still parked so it re-evaluates the
-			// drained state too.
-			c.notEmpty.WakeAll()
-			c.met.Inc(metrics.CloseDrain)
-			return 0, ErrClosed
+			continue
 		}
 		select {
 		case <-w.Ready():
+			done := w.Done()
+			if done {
+				out[0] = h.rcell
+			}
 			c.notEmpty.Finish(w)
+			if done {
+				return 1, nil
+			}
 		case <-ctx.Done():
-			c.notEmpty.Abort(w)
+			if c.notEmpty.Abort(w) {
+				out[0] = h.rcell
+				return 1, nil
+			}
 			return 0, ctx.Err()
 		}
 	}
@@ -719,29 +724,34 @@ func (h *ChanHandle[T]) recvManyCtxRing(ctx context.Context, out []T) (int, erro
 
 // RecvCtx is Recv bounded by ctx: it returns ctx.Err() if the
 // context expires while the buffer is still empty.
+//
+// Direct handoff (chan_handoff.go) shapes the wait. The spin phases
+// run BEFORE registration and consume from the ring: a receiver that
+// keeps up with producers resolves on the wait-free ring and never
+// touches the notEmpty mutex, so the fast majority pays handoff
+// nothing. Only a receiver whose
+// spin budget expires registers — with PrepareXfer, so it is claimable
+// from the moment it is listed: through the registered re-checks below
+// (the "spin phase" of the registration) and through the park itself.
+// A sender that finds it delivers straight into the transfer cell,
+// skipping the ring and the dequeue after the wake. The invariant that
+// keeps exactly-once: an armed receiver never touches the ring without
+// first winning Disarm — a lost Disarm means a claimer owns the
+// registration, and its token and cell value must be consumed.
 func (h *ChanHandle[T]) RecvCtx(ctx context.Context) (T, error) {
-	if h.c.handoff {
-		return h.recvCtxHandoff(ctx)
-	}
-	return h.recvCtxRing(ctx)
-}
-
-// recvCtxRing is the pre-handoff blocking receive, kept verbatim as
-// the -handoff=off path (see recvManyCtxRing).
-func (h *ChanHandle[T]) recvCtxRing(ctx context.Context) (T, error) {
 	c := h.c
 	var zero T
 	for {
 		if v, ok := h.h.Dequeue(); ok {
-			c.wakeNotFull()
+			h.releaseSlot()
 			return v, nil
 		}
 		if err := ctx.Err(); err != nil {
 			return zero, err
 		}
-		// Phases 1-2: spin-then-yield before parking. A hit on the
-		// closed-and-drained arm (got stays false) falls through to the
-		// registered close-drain check below.
+		// Phases 1-2: spin-then-yield, consuming, unregistered. A hit
+		// on the closed-and-drained arm (got stays false) falls through
+		// to the registered check below.
 		var sv T
 		got := false
 		if c.notEmpty.SpinWait(&h.rng, func() bool {
@@ -751,34 +761,71 @@ func (h *ChanHandle[T]) recvCtxRing(ctx context.Context) (T, error) {
 			}
 			return c.closed.Load() && c.sending.Load() == 0
 		}) && got {
-			c.wakeNotFull()
+			h.releaseSlot()
 			return sv, nil
 		}
-		w := c.notEmpty.Prepare()
-		// Re-check after registering (lost-wakeup protocol).
-		if v, ok := h.h.Dequeue(); ok {
-			c.notEmpty.Abort(w)
-			c.wakeNotFull()
-			return v, nil
-		}
-		if c.closed.Load() && c.sending.Load() == 0 {
-			if v, ok := h.h.Dequeue(); ok {
-				c.notEmpty.Abort(w)
-				c.wakeNotFull()
+		// Park commit: register claimable. From here until a won Disarm
+		// this goroutine may not touch the ring.
+		w := c.notEmpty.PrepareXfer(unsafe.Pointer(&h.rcell))
+		// Re-check after registering (lost-wakeup protocol): a sender
+		// that missed the registration must have enqueued first, which
+		// this probe observes.
+		if !c.core.Empty() || (c.closed.Load() && c.sending.Load() == 0) {
+			if !w.Disarm() {
+				// Lost the race to a claimer: the handoff owns this
+				// registration now.
+				<-w.Ready()
+				v := h.rcell
+				c.notEmpty.Finish(w)
 				return v, nil
 			}
+			// Disarmed: exclusive use of the cell again, safe to touch
+			// the ring.
+			if v, ok := h.h.Dequeue(); ok {
+				c.notEmpty.Abort(w)
+				h.releaseSlot()
+				return v, nil
+			}
+			if c.closed.Load() && c.sending.Load() == 0 {
+				// Final re-check: with the in-flight counter at zero
+				// after close, every completed send's value is visible.
+				if v, ok := h.h.Dequeue(); ok {
+					c.notEmpty.Abort(w)
+					h.releaseSlot()
+					return v, nil
+				}
+				c.notEmpty.Abort(w)
+				// Nudge any sibling still parked so it re-evaluates the
+				// drained state too.
+				c.notEmpty.WakeAll()
+				c.met.Inc(metrics.CloseDrain)
+				return zero, ErrClosed
+			}
+			// The ring emptied again between the probe and the dequeue;
+			// retire this registration and re-arm fresh.
 			c.notEmpty.Abort(w)
-			// Nudge any sibling still parked so it re-evaluates the
-			// drained state too.
-			c.notEmpty.WakeAll()
-			c.met.Inc(metrics.CloseDrain)
-			return zero, ErrClosed
+			continue
 		}
 		select {
 		case <-w.Ready():
+			// Done before Finish: Finish recycles the waiter and resets
+			// its transfer state.
+			done := w.Done()
+			var v T
+			if done {
+				v = h.rcell
+			}
 			c.notEmpty.Finish(w)
+			if done {
+				return v, nil
+			}
+			// Plain (possibly forwarded) wake: loop and re-check.
 		case <-ctx.Done():
-			c.notEmpty.Abort(w)
+			if c.notEmpty.Abort(w) {
+				// The handoff landed before the abort: the value counts
+				// as delivered, exactly once — return it, not the error.
+				return h.rcell, nil
+			}
 			return zero, ctx.Err()
 		}
 	}

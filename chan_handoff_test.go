@@ -12,42 +12,67 @@ import (
 )
 
 // TestChanHandoffDeliversToParkedReceiver pins the receiver-side fast
-// path on every backend: with a receiver verifiably parked on an empty
-// Chan, Send must publish through the transfer cell (HandoffSend)
-// rather than the ring, and the receiver gets the value.
+// path on every backend, for both blocking receive shapes: with a
+// receiver verifiably parked on an empty Chan, Send must publish
+// through the transfer cell (HandoffSend) rather than the ring, the
+// receiver gets the value — RecvMany as a batch of exactly one — and
+// the ring stays empty.
 func TestChanHandoffDeliversToParkedReceiver(t *testing.T) {
+	recvs := []struct {
+		name string
+		recv func(h *ChanHandle[int]) (int, int, error) // value, count, error
+	}{
+		{"Recv", func(h *ChanHandle[int]) (int, int, error) {
+			v, err := h.Recv()
+			return v, 1, err
+		}},
+		{"RecvMany", func(h *ChanHandle[int]) (int, int, error) {
+			out := make([]int, 4)
+			n, err := h.RecvMany(out)
+			return out[0], n, err
+		}},
+	}
 	for _, b := range backends() {
 		b := b
 		t.Run(b.String(), func(t *testing.T) {
-			c, err := NewChan[int](16, 2, WithBackend(b), WithMetrics(NewMetricsSink()))
-			if err != nil {
-				t.Fatal(err)
-			}
-			hs, _ := c.Handle()
-			hr, _ := c.Handle()
-			got := make(chan int, 1)
-			go func() {
-				v, err := hr.Recv()
-				if err != nil {
-					t.Error(err)
-				}
-				got <- v
-			}()
-			waitParked(t, &c.notEmpty)
-			if err := hs.Send(41); err != nil {
-				t.Fatal(err)
-			}
-			select {
-			case v := <-got:
-				if v != 41 {
-					t.Fatalf("Recv = %d, want 41", v)
-				}
-			case <-time.After(5 * time.Second):
-				t.Fatal("parked receiver never woke")
-			}
-			snap := c.Stats()
-			if n := snap.Counts[metrics.HandoffSend]; n != 1 {
-				t.Fatalf("HandoffSend = %d, want 1 (value crossed the ring instead)", n)
+			for _, r := range recvs {
+				r := r
+				t.Run(r.name, func(t *testing.T) {
+					c, err := NewChan[int](16, 2, WithBackend(b), WithMetrics(NewMetricsSink()))
+					if err != nil {
+						t.Fatal(err)
+					}
+					hs, _ := c.Handle()
+					hr, _ := c.Handle()
+					type result struct{ v, n int }
+					got := make(chan result, 1)
+					go func() {
+						v, n, err := r.recv(hr)
+						if err != nil {
+							t.Error(err)
+						}
+						got <- result{v, n}
+					}()
+					waitParked(t, &c.notEmpty)
+					if err := hs.Send(41); err != nil {
+						t.Fatal(err)
+					}
+					select {
+					case res := <-got:
+						if res.n != 1 || res.v != 41 {
+							t.Fatalf("%s = %d value(s), first %d; want 1, 41", r.name, res.n, res.v)
+						}
+					case <-time.After(5 * time.Second):
+						t.Fatal("parked receiver never woke")
+					}
+					snap := c.Stats()
+					if n := snap.Counts[metrics.HandoffSend]; n != 1 {
+						t.Fatalf("HandoffSend = %d, want 1 (value crossed the ring instead)", n)
+					}
+					if !c.core.Empty() {
+						t.Fatal("ring not empty after a handoff: the value was also buffered")
+					}
+				})
 			}
 		})
 	}
@@ -162,37 +187,6 @@ func TestChanSendManyHandoffsToParkedReceivers(t *testing.T) {
 	snap := c.Stats()
 	if n := snap.Counts[metrics.HandoffSend]; n < parked {
 		t.Fatalf("HandoffSend = %d, want >= %d", n, parked)
-	}
-}
-
-// TestChanHandoffOffPinsRingPath is the A/B control: with
-// WithHandoff(false) the facade must never attempt a handoff — no
-// sends, no takeovers, not even misses — while the blocking protocol
-// still works.
-func TestChanHandoffOffPinsRingPath(t *testing.T) {
-	c, err := NewChan[int](4, 2, WithHandoff(false), WithMetrics(NewMetricsSink()))
-	if err != nil {
-		t.Fatal(err)
-	}
-	hs, _ := c.Handle()
-	hr, _ := c.Handle()
-	got := make(chan int, 1)
-	go func() {
-		v, _ := hr.Recv()
-		got <- v
-	}()
-	waitParked(t, &c.notEmpty)
-	if err := hs.Send(7); err != nil {
-		t.Fatal(err)
-	}
-	if v := <-got; v != 7 {
-		t.Fatalf("Recv = %d", v)
-	}
-	snap := c.Stats()
-	for _, ev := range []metrics.Event{metrics.HandoffSend, metrics.HandoffRecv, metrics.HandoffMiss} {
-		if n := snap.Counts[ev]; n != 0 {
-			t.Fatalf("event %d fired %d times with handoff off", ev, n)
-		}
 	}
 }
 

@@ -508,3 +508,27 @@ func TestChanShardedRejectsUnboundedShardsOption(t *testing.T) {
 		t.Fatal("BackendSharded accepted WithUnboundedShards")
 	}
 }
+
+// TestChanLeavesCallerOptionsAlone: the unbounded backends set their
+// ring size (and unbounded shards) on NewChan's parsed options, never
+// by appending to the caller's variadic slice — whose backing array
+// past its length belongs to the caller, so a spare slot must come
+// back exactly as it was handed in.
+func TestChanLeavesCallerOptionsAlone(t *testing.T) {
+	for _, b := range []Backend{BackendUnbounded, BackendShardedUnbounded} {
+		t.Run(b.String(), func(t *testing.T) {
+			opts := make([]Option, 2) // opts[1] is the spare slot, nil
+			opts[0] = WithBackend(b)
+			c, err := NewChan[int](8, 2, opts[:1]...)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if opts[1] != nil {
+				t.Fatal("NewChan wrote an option into the spare capacity of the caller's slice")
+			}
+			if c.Cap() != 0 {
+				t.Fatalf("Cap = %d, want 0 (unbounded)", c.Cap())
+			}
+		})
+	}
+}

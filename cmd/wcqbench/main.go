@@ -19,9 +19,7 @@
 //	wcqbench -figure l1 -gate BENCH_queue.json   # CI: p99/footprint regression gate
 //	wcqbench -figure w1                  # wait strategies vs waiter count
 //	wcqbench -figure w1 -waiters 8,64 -smoke-wait   # CI: adaptive vs park, same run
-//	wcqbench -figure h1                  # direct handoff on/off vs role imbalance
-//	wcqbench -figure h1 -smoke-handoff   # CI: handoff-on must beat handoff-off, same run
-//	wcqbench -figure b1 -handoff off     # any blocking figure with the fast path disabled
+//	wcqbench -figure h1                  # direct handoff vs role imbalance
 //	wcqbench -figure all -json BENCH_queue.json
 //
 // Absolute numbers depend on the host; the reproduction target is the
@@ -40,7 +38,6 @@ import (
 	"repro/internal/benchfmt"
 	"repro/internal/clihelper"
 	"repro/internal/harness"
-	"repro/internal/queues"
 )
 
 func main() {
@@ -59,7 +56,6 @@ func main() {
 		gate     = flag.String("gate", "", "CI bench gate: compare this run's sub-saturation l1 points against the committed wcqbench/v1 file and exit nonzero on p99/footprint regression")
 		waitersF = flag.String("waiters", "", "figure w1: comma-separated waiter-count sweep (default 8,64,256,1024)")
 		smokeW   = flag.Bool("smoke-wait", false, "exit nonzero unless figure w1's adaptive strategy beats immediate park on wakeup p99 at the lowest waiter count and stays within throughput noise at the highest (relative same-run check)")
-		smokeH   = flag.Bool("smoke-handoff", false, "exit nonzero unless figure h1's handoff-on beats handoff-off on blocking throughput at the receiver-heavy split with no blocking-wait p99 regression (relative same-run check)")
 	)
 	shared := clihelper.Register(flag.CommandLine, 1<<16)
 	flag.Parse()
@@ -100,10 +96,6 @@ func main() {
 			fmt.Fprintln(os.Stderr, err)
 			os.Exit(2)
 		}
-	}
-	if opts.Handoff, err = shared.HandoffMode(); err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(2)
 	}
 
 	var figs []harness.Figure
@@ -164,7 +156,6 @@ func main() {
 				bp.SpinHitRate = pt.SpinHitRate
 				bp.Producers = pt.Producers
 				bp.Consumers = pt.Consumers
-				bp.Handoff = pt.Handoff
 				bp.HandoffRate = pt.HandoffRate
 			}
 			jf.Points = append(jf.Points, bp)
@@ -222,14 +213,6 @@ func main() {
 			os.Exit(1)
 		}
 		fmt.Println("smoke-wait ok: adaptive wait beats park on p99 at low waiter counts and holds throughput at high")
-	}
-
-	if *smokeH {
-		if err := smokeHandoff(jf.Points); err != nil {
-			fmt.Fprintln(os.Stderr, "smoke-handoff FAIL:", err)
-			os.Exit(1)
-		}
-		fmt.Println("smoke-handoff ok: handoff-on beats handoff-off at the receiver-heavy split with no wait-p99 regression")
 	}
 
 	if *gate != "" {
@@ -417,90 +400,6 @@ func smokeWait(points []benchfmt.Point) error {
 	return nil
 }
 
-// smokeHandoff tolerances. Throughput must strictly improve at the
-// receiver-heavy split — that split is the rendezvous sweet spot, where
-// skipping the ring and the wake chain is worth a solid margin, so a
-// strict same-run comparison is safe. The wait-ladder p99 check has the
-// usual factor-plus-floor shape (see smokeWait): handoff must not
-// regress parked waits, but sub-25µs p99s are scheduler noise on a CI
-// runner.
-const (
-	smokeHandoffP99Factor  = 2.0
-	smokeHandoffP99FloorUS = 25.0
-)
-
-// smokeHandoff is the direct-handoff CI gate: on the same h1 run, for
-// the Chan queue at the most receiver-heavy split swept (preferring the
-// canonical 1:3), handoff-on must beat handoff-off on blocking
-// throughput, and the blocking-wait p99 must not regress beyond the
-// factor/floor band. Relative to the run itself, so robust to host
-// speed.
-func smokeHandoff(points []benchfmt.Point) error {
-	type key struct {
-		handoff string
-		p, c    int
-	}
-	pts := map[key]benchfmt.Point{}
-	var splits [][2]int
-	for _, p := range points {
-		if p.Figure != "h1" || p.Err != "" || p.Queue != "Chan" {
-			continue
-		}
-		k := key{p.Handoff, p.Producers, p.Consumers}
-		pts[k] = p
-		if p.Handoff == "on" {
-			splits = append(splits, [2]int{p.Producers, p.Consumers})
-		}
-	}
-	if len(pts) == 0 {
-		return fmt.Errorf("no h1 Chan points in this run (run with -figure h1 or all)")
-	}
-	// Prefer the canonical 1:3 split; otherwise the most receiver-heavy
-	// one present (smallest producers/consumers ratio, by integer
-	// cross-multiplication).
-	best, found, canonical := [2]int{}, false, false
-	for _, s := range splits {
-		if _, ok := pts[key{"off", s[0], s[1]}]; !ok {
-			continue
-		}
-		switch {
-		case s[1] == 3*s[0] && !canonical:
-			best, found, canonical = s, true, true
-		case !canonical && (!found || s[0]*best[1] < best[0]*s[1]):
-			best, found = s, true
-		}
-	}
-	if !found {
-		return fmt.Errorf("no h1 split present with both handoff settings")
-	}
-	on := pts[key{"on", best[0], best[1]}]
-	off := pts[key{"off", best[0], best[1]}]
-	// Compare best-of-reps, not means: a single multi-ms scheduler stall
-	// on a shared runner lands in one arm's mean and flips a comparison
-	// the steady-state reps decide the other way. The max is each arm's
-	// stall-free estimate, and the two arms' reps are interleaved in
-	// time by the harness, so it stays a same-conditions comparison.
-	onM, offM := on.MopsMax, off.MopsMax
-	if onM == 0 || offM == 0 {
-		onM, offM = on.MopsMean, off.MopsMean
-	}
-	if onM <= offM {
-		return fmt.Errorf("Chan @ %d:%d: handoff-on %.3f Mops/s <= handoff-off %.3f Mops/s",
-			best[0], best[1], onM, offM)
-	}
-	if on.Latency != nil && off.Latency != nil {
-		bound := smokeHandoffP99Factor * off.Latency.P99
-		if bound < smokeHandoffP99FloorUS {
-			bound = smokeHandoffP99FloorUS
-		}
-		if on.Latency.P99 > bound {
-			return fmt.Errorf("Chan @ %d:%d: handoff-on wait p99 %.1fµs > handoff-off %.1fµs (bound %.1fµs)",
-				best[0], best[1], on.Latency.P99, off.Latency.P99, bound)
-		}
-	}
-	return nil
-}
-
 // reportWakeupLatency prints (and optionally records) the parked-Recv
 // wakeup latency for each queue of a blocking figure — the companion
 // metric to figure b1's throughput sweep.
@@ -509,36 +408,22 @@ func reportWakeupLatency(f harness.Figure, opts harness.RunOpts, shared *clihelp
 	if len(opts.Queues) > 0 {
 		names = opts.Queues
 	}
-	// A handoff figure A/Bs the ladder itself: the rendezvous path
-	// exists to cut exactly this latency, so the report pairs each
-	// queue's on/off ladders instead of measuring only the flag setting.
-	settings := []string{""}
-	if len(f.Handoffs) > 0 {
-		settings = f.Handoffs
-	}
 	var sb strings.Builder
 	fmt.Fprintf(&sb, "Wakeup latency (parked Recv -> Send, %d samples, µs):\n", samples)
 	for _, name := range names {
-		for _, hname := range settings {
-			label := name
-			cfg, err := shared.Config(4)
-			if err == nil && hname != "" {
-				label = name + "/" + hname
-				cfg.Handoff, err = queues.HandoffByName(hname)
-			}
-			if err != nil {
-				fmt.Fprintf(&sb, "%-16s n/a (%v)\n", label, err)
-				continue
-			}
-			hist, err := harness.WakeupLatency(name, cfg, samples)
-			if err != nil {
-				fmt.Fprintf(&sb, "%-16s n/a (%v)\n", label, err)
-				continue
-			}
-			us := func(q float64) float64 { return float64(hist.Quantile(q)) / 1e3 }
-			fmt.Fprintf(&sb, "%-16s p50 %.1f  p90 %.1f  p99 %.1f  p99.9 %.1f  max %.1f\n",
-				label, us(0.50), us(0.90), us(0.99), us(0.999), float64(hist.Max)/1e3)
+		cfg, err := shared.Config(4)
+		if err != nil {
+			fmt.Fprintf(&sb, "%-16s n/a (%v)\n", name, err)
+			continue
 		}
+		hist, err := harness.WakeupLatency(name, cfg, samples)
+		if err != nil {
+			fmt.Fprintf(&sb, "%-16s n/a (%v)\n", name, err)
+			continue
+		}
+		us := func(q float64) float64 { return float64(hist.Quantile(q)) / 1e3 }
+		fmt.Fprintf(&sb, "%-16s p50 %.1f  p90 %.1f  p99 %.1f  p99.9 %.1f  max %.1f\n",
+			name, us(0.50), us(0.90), us(0.99), us(0.999), float64(hist.Max)/1e3)
 	}
 	fmt.Print(sb.String() + "\n")
 	if record {

@@ -1,10 +1,9 @@
 // Package backoff provides the waiting-side primitives behind the
 // blocking facade's adaptive spin-then-park machinery and the
-// harness's idle loops: a seeded per-waiter xorshift stream, the two
-// classic jittered sleep strategies (full jitter and decorrelated
-// jitter, both clamped to [base, cap]), an EWMA spin-budget
-// controller, and an escalating Backoff iterator for poll loops that
-// must not burn a core.
+// harness's idle loops: a seeded per-waiter xorshift stream, the
+// classic full-jitter sleep draw (clamped to [base, cap]), an EWMA
+// spin-budget controller, and an escalating Backoff iterator for poll
+// loops that must not burn a core.
 //
 // Everything here is deterministic under a fixed seed — the property
 // tests replay streams — and the spin-path primitives carry
@@ -70,26 +69,6 @@ func FullJitter(r *Rand, base, cap time.Duration, attempt int) time.Duration {
 	return base + time.Duration(r.Next()%uint64(span+1))
 }
 
-// Decorrelated is the "decorrelated jitter" sleep: uniform in
-// [base, min(cap, 3*prev)], where prev is the previous sleep (values
-// below base are treated as base, so the first call draws from
-// [base, 3*base]). The result is always within [base, cap].
-func Decorrelated(r *Rand, base, cap, prev time.Duration) time.Duration {
-	base, cap = clampBounds(base, cap)
-	if prev < base {
-		prev = base
-	}
-	ceil := prev * 3
-	if ceil > cap || ceil < prev { // overflow-safe
-		ceil = cap
-	}
-	span := int64(ceil - base)
-	if span <= 0 {
-		return base
-	}
-	return base + time.Duration(r.Next()%uint64(span+1))
-}
-
 // clampBounds normalizes sleep bounds: base must be positive and cap
 // at least base.
 func clampBounds(base, cap time.Duration) (time.Duration, time.Duration) {
@@ -127,72 +106,39 @@ const (
 	// Uncontended points converge to pure spin; oversubscribed ones to
 	// immediate park.
 	KindAdaptive Kind = iota
-	// KindSpin always spends the full spin and yield budgets before
-	// parking, regardless of the observed hit rate.
-	KindSpin
-	// KindPark parks immediately — the pre-adaptive behavior, kept as
-	// the relative baseline the perf-smoke wait gate compares against.
+	// KindPark parks immediately — the pre-adaptive behavior. Under
+	// deep oversubscription it keeps the wait tail short where the
+	// adaptive kind's yield phase stretches it (figure w1).
 	KindPark
 )
 
-// Strategy tunes the three-phase wait machine and the staggered
-// wake-all. A nil *Strategy selects every default (KindAdaptive), so
-// the knob can be threaded through option structs unconditionally.
-// Fields left zero take their documented defaults.
+// Strategy selects the wait mode of the three-phase wait machine. A
+// nil *Strategy selects KindAdaptive, so the knob can be threaded
+// through option structs unconditionally.
 type Strategy struct {
 	// Kind picks the wait mode (default KindAdaptive).
 	Kind Kind
-	// MaxSpin bounds the phase-1 condition re-checks per wait
-	// (default 64). The adaptive kind scales its live budget within
-	// [0, MaxSpin]; KindSpin always spends all of it.
-	MaxSpin int
-	// MaxYields bounds the phase-2 Gosched re-checks per wait
-	// (default 16); the actual count is jittered in [1, MaxYields].
-	MaxYields int
-	// WakeTranche sizes the staggered WakeAll release tranches
-	// (default GOMAXPROCS at wake time).
-	WakeTranche int
-	// Jitter picks the sleep-jitter shape of the Backoff iterator's
-	// sleeping phase (default JitterFull).
-	Jitter Jitter
-	// SleepBase and SleepCap bound the Backoff iterator's jittered
-	// sleeps (defaults 1µs and 128µs). The park path never sleeps —
-	// these exist for poll loops outside the parking lot (the
-	// open-loop harness's non-blocking producers and consumers).
-	SleepBase time.Duration
-	SleepCap  time.Duration
 }
 
-// Jitter selects the sleep-jitter shape.
-type Jitter uint8
-
+// The wait machine's fixed budgets, stated once for code, tests and
+// docs.
 const (
-	// JitterFull draws each sleep uniformly from [base, base<<attempt]
-	// (clamped to cap): sleeps are independent, spreading a herd of
-	// waiters across the whole window every time.
-	JitterFull Jitter = iota
-	// JitterDecorrelated draws from [base, 3*previous] (clamped to
-	// cap): sleeps random-walk toward the cap, which backs a persistent
-	// idler off harder while staying jittered.
-	JitterDecorrelated
-)
-
-// Defaults, exported so tests and docs state them once.
-const (
-	DefaultMaxSpin   = 64
-	DefaultMaxYields = 16
-)
-
-const (
-	defaultSleepBase = time.Microsecond
-	defaultSleepCap  = 128 * time.Microsecond
+	// MaxSpin bounds the phase-1 condition re-checks per wait; the
+	// adaptive kind scales its live budget within [0, MaxSpin].
+	MaxSpin = 64
+	// MaxYields bounds the phase-2 Gosched re-checks per wait; the
+	// actual count is jittered in [1, MaxYields].
+	MaxYields = 16
+	// SleepBase and SleepCap bound the Backoff iterator's jittered
+	// sleeps. The park path never sleeps — they exist for poll loops
+	// outside the parking lot (the open-loop harness's non-blocking
+	// producers and consumers).
+	SleepBase = time.Microsecond
+	SleepCap  = 128 * time.Microsecond
 )
 
 // Adaptive returns the default strategy (explicitly).
 func Adaptive() *Strategy { return &Strategy{Kind: KindAdaptive} }
-
-// Spin returns the fixed-budget spin-then-park strategy.
-func Spin() *Strategy { return &Strategy{Kind: KindSpin} }
 
 // Park returns the park-immediately strategy (the pre-adaptive
 // behavior, and the perf-smoke gate's baseline).
@@ -204,21 +150,16 @@ func ByName(name string) (*Strategy, error) {
 	switch name {
 	case "", "adaptive":
 		return Adaptive(), nil
-	case "spin":
-		return Spin(), nil
 	case "park":
 		return Park(), nil
 	}
-	return nil, fmt.Errorf("backoff: unknown wait strategy %q (have adaptive, spin, park)", name)
+	return nil, fmt.Errorf("backoff: unknown wait strategy %q (have adaptive, park)", name)
 }
 
 // Name returns the strategy's flag name; a nil strategy is the
 // default "adaptive".
 func (s *Strategy) Name() string {
-	switch s.Mode() {
-	case KindSpin:
-		return "spin"
-	case KindPark:
+	if s.Mode() == KindPark {
 		return "park"
 	}
 	return "adaptive"
@@ -232,68 +173,6 @@ func (s *Strategy) Mode() Kind {
 		return KindAdaptive
 	}
 	return s.Kind
-}
-
-// SpinBudget returns the phase-1 bound (default DefaultMaxSpin).
-//
-//wfq:noalloc
-func (s *Strategy) SpinBudget() int {
-	if s == nil || s.MaxSpin <= 0 {
-		return DefaultMaxSpin
-	}
-	return s.MaxSpin
-}
-
-// YieldBudget returns the phase-2 bound (default DefaultMaxYields).
-//
-//wfq:noalloc
-func (s *Strategy) YieldBudget() int {
-	if s == nil || s.MaxYields <= 0 {
-		return DefaultMaxYields
-	}
-	return s.MaxYields
-}
-
-// minWakeTranche floors the default tranche size. On a small-P host
-// GOMAXPROCS alone would degenerate to near-per-waiter staggering —
-// O(waiters) yields inside the waker's critical path, which throttles
-// the very progress the woken waiters are waiting on (a broadcast per
-// freed slot turns into a stable re-park herd).
-const minWakeTranche = 8
-
-// TrancheSize returns the staggered-wake tranche size; the default is
-// GOMAXPROCS sampled at wake time (one runnable waiter per P),
-// floored at minWakeTranche.
-//
-//wfq:noalloc
-func (s *Strategy) TrancheSize() int {
-	if s == nil || s.WakeTranche <= 0 {
-		if g := runtime.GOMAXPROCS(0); g > minWakeTranche {
-			return g
-		}
-		return minWakeTranche
-	}
-	return s.WakeTranche
-}
-
-// SleepBounds returns the Backoff iterator's [base, cap] sleep window.
-func (s *Strategy) SleepBounds() (base, cap time.Duration) {
-	base, cap = defaultSleepBase, defaultSleepCap
-	if s != nil && s.SleepBase > 0 {
-		base = s.SleepBase
-	}
-	if s != nil && s.SleepCap > 0 {
-		cap = s.SleepCap
-	}
-	return clampBounds(base, cap)
-}
-
-// jitterKind returns the sleep-jitter shape (nil → JitterFull).
-func (s *Strategy) jitterKind() Jitter {
-	if s == nil {
-		return JitterFull
-	}
-	return s.Jitter
 }
 
 // EWMA tracks a hit rate as a fixed-point exponentially weighted
@@ -405,48 +284,35 @@ const SpinHitBudget = 5 * time.Microsecond
 
 // Backoff is an escalating idle-wait iterator for poll loops outside
 // the parking lot (the open-loop harness's non-blocking paths): the
-// first SpinBudget Waits are free (pure re-check), the next
-// YieldBudget yield the processor, and every Wait after that sleeps a
-// jittered duration within the strategy's [SleepBase, SleepCap] —
-// so a briefly-blocked loop stays hot while a persistent idler stops
-// burning its core. Reset after every success.
+// first MaxSpin Waits are free (pure re-check), the next MaxYields
+// yield the processor, and every Wait after that sleeps a full-jitter
+// duration within [SleepBase, SleepCap] — so a briefly-blocked loop
+// stays hot while a persistent idler stops burning its core. Reset
+// after every success.
 type Backoff struct {
-	rng   Rand
-	strat *Strategy
-	n     int
-	prev  time.Duration
+	rng Rand
+	n   int
 }
 
-// New returns a Backoff over the strategy's budgets (nil = defaults)
-// with its own seeded jitter stream.
-func New(strat *Strategy, seed uint64) Backoff {
-	return Backoff{rng: NewRand(seed), strat: strat}
+// New returns a Backoff with its own seeded jitter stream.
+func New(seed uint64) Backoff {
+	return Backoff{rng: NewRand(seed)}
 }
 
 // Wait blocks (or doesn't) according to the current escalation level,
 // then advances it.
 func (b *Backoff) Wait() {
-	spins := b.strat.SpinBudget()
-	yields := b.strat.YieldBudget()
 	switch {
-	case b.n < spins:
+	case b.n < MaxSpin:
 		// Spin level: the caller's re-check is the work.
-	case b.n < spins+yields:
+	case b.n < MaxSpin+MaxYields:
 		runtime.Gosched()
 	default:
-		base, cap := b.strat.SleepBounds()
-		var d time.Duration
-		if b.strat.jitterKind() == JitterDecorrelated {
-			d = Decorrelated(&b.rng, base, cap, b.prev)
-		} else {
-			d = FullJitter(&b.rng, base, cap, b.n-spins-yields)
-		}
-		b.prev = d
-		time.Sleep(d)
+		time.Sleep(FullJitter(&b.rng, SleepBase, SleepCap, b.n-MaxSpin-MaxYields))
 	}
 	b.n++
 }
 
 // Reset drops the escalation back to the spin level; call it after
 // the condition the loop was polling for came true.
-func (b *Backoff) Reset() { b.n, b.prev = 0, 0 }
+func (b *Backoff) Reset() { b.n = 0 }

@@ -33,30 +33,6 @@ func TestFullJitterBounds(t *testing.T) {
 	}
 }
 
-// TestDecorrelatedBounds: every draw stays within [base, cap] while
-// the walk feeds its own output back as prev, and a wild prev (0, or
-// past cap) cannot escape the window.
-func TestDecorrelatedBounds(t *testing.T) {
-	r := NewRand(7)
-	base, cap := time.Microsecond, 128*time.Microsecond
-	prev := time.Duration(0)
-	for i := 0; i < 10_000; i++ {
-		d := Decorrelated(&r, base, cap, prev)
-		if d < base || d > cap {
-			t.Fatalf("Decorrelated draw %d = %v outside [%v, %v] (prev %v)", i, d, base, cap, prev)
-		}
-		prev = d
-	}
-	for _, prev := range []time.Duration{0, base - 1, cap, cap * 10, 1 << 62} {
-		for i := 0; i < 200; i++ {
-			d := Decorrelated(&r, base, cap, prev)
-			if d < base || d > cap {
-				t.Fatalf("Decorrelated(prev=%v) = %v outside [%v, %v]", prev, d, base, cap)
-			}
-		}
-	}
-}
-
 // TestSeededStreamsDeterministic: the same seed replays the identical
 // value and jitter sequences; different seeds diverge.
 func TestSeededStreamsDeterministic(t *testing.T) {
@@ -68,16 +44,10 @@ func TestSeededStreamsDeterministic(t *testing.T) {
 	}
 	a, b = NewRand(42), NewRand(42)
 	base, cap := time.Microsecond, 256*time.Microsecond
-	prevA, prevB := time.Duration(0), time.Duration(0)
 	for i := 0; i < 1000; i++ {
 		if x, y := FullJitter(&a, base, cap, i%20), FullJitter(&b, base, cap, i%20); x != y {
 			t.Fatalf("same-seed FullJitter diverged at step %d: %v != %v", i, x, y)
 		}
-		x, y := Decorrelated(&a, base, cap, prevA), Decorrelated(&b, base, cap, prevB)
-		if x != y {
-			t.Fatalf("same-seed Decorrelated diverged at step %d: %v != %v", i, x, y)
-		}
-		prevA, prevB = x, y
 	}
 	c, d := NewRand(1), NewRand(2)
 	same := 0
@@ -119,7 +89,7 @@ func observe(e *EWMA, n, hits int) {
 // endpoints behave (all-miss → budget 0, all-hit → full budget), and
 // budgets never leave [0, maxSpin].
 func TestEWMABudgetMonotone(t *testing.T) {
-	const maxSpin = DefaultMaxSpin
+	const maxSpin = MaxSpin
 	rates := []int{0, 10, 25, 50, 75, 90, 100}
 	var prevRate float64 = -1
 	prevBudget := -1
@@ -158,8 +128,8 @@ func TestEWMAZeroValueOptimistic(t *testing.T) {
 	if r := e.Rate(); r < 0.45 || r > 0.55 {
 		t.Fatalf("zero-value rate = %f, want ~0.5", r)
 	}
-	if b := e.Budget(DefaultMaxSpin); b < DefaultMaxSpin/3 || b > DefaultMaxSpin {
-		t.Fatalf("zero-value budget = %d, want ~%d", b, DefaultMaxSpin/2)
+	if b := e.Budget(MaxSpin); b < MaxSpin/3 || b > MaxSpin {
+		t.Fatalf("zero-value budget = %d, want ~%d", b, MaxSpin/2)
 	}
 }
 
@@ -171,16 +141,16 @@ func TestEWMADecayCollapses(t *testing.T) {
 	var e EWMA
 	e.Decay()
 	e.Decay()
-	if b := e.Budget(DefaultMaxSpin); b != 0 {
+	if b := e.Budget(MaxSpin); b != 0 {
 		t.Fatalf("budget after two decays = %d, want 0 (rate %f)", b, e.Rate())
 	}
 	var slow EWMA
 	observe(&slow, 16, 0)
-	if slow.Budget(DefaultMaxSpin) != 0 {
-		t.Fatalf("16 misses left budget %d; decay must not be slower than this path", slow.Budget(DefaultMaxSpin))
+	if slow.Budget(MaxSpin) != 0 {
+		t.Fatalf("16 misses left budget %d; decay must not be slower than this path", slow.Budget(MaxSpin))
 	}
 	observe(&e, 40, 40)
-	if b := e.Budget(DefaultMaxSpin); b == 0 {
+	if b := e.Budget(MaxSpin); b == 0 {
 		t.Fatalf("budget did not recover from collapse under all-hit observations (rate %f)", e.Rate())
 	}
 }
@@ -188,7 +158,7 @@ func TestEWMADecayCollapses(t *testing.T) {
 // TestStrategyByName: the flag vocabulary round-trips, nil defaults
 // to adaptive, and unknown names error.
 func TestStrategyByName(t *testing.T) {
-	for _, name := range []string{"adaptive", "spin", "park"} {
+	for _, name := range []string{"adaptive", "park"} {
 		s, err := ByName(name)
 		if err != nil {
 			t.Fatalf("ByName(%q): %v", name, err)
@@ -210,23 +180,16 @@ func TestStrategyByName(t *testing.T) {
 	if nilStrat.Mode() != KindAdaptive {
 		t.Fatal("nil strategy Mode() != KindAdaptive")
 	}
-	if nilStrat.SpinBudget() != DefaultMaxSpin || nilStrat.YieldBudget() != DefaultMaxYields {
-		t.Fatal("nil strategy budgets not defaulted")
-	}
-	if nilStrat.TrancheSize() < 1 {
-		t.Fatal("nil strategy tranche size < 1")
-	}
 }
 
-// TestBackoffEscalation: the iterator spins for SpinBudget waits,
-// yields for YieldBudget more, sleeps after that, and Reset drops it
+// TestBackoffEscalation: the iterator spins for MaxSpin waits,
+// yields for MaxYields more, sleeps after that, and Reset drops it
 // back to the free spin level. Timing the spin level would be flaky;
 // instead the sleep level is detected by elapsed wall clock.
 func TestBackoffEscalation(t *testing.T) {
-	strat := &Strategy{MaxSpin: 4, MaxYields: 2, SleepBase: time.Millisecond, SleepCap: 2 * time.Millisecond}
-	b := New(strat, 1)
+	b := New(1)
 	t0 := time.Now()
-	for i := 0; i < 6; i++ { // 4 spins + 2 yields: no sleeping yet
+	for i := 0; i < MaxSpin+MaxYields; i++ { // no sleeping yet
 		b.Wait()
 	}
 	if free := time.Since(t0); free > 500*time.Millisecond {
@@ -234,8 +197,8 @@ func TestBackoffEscalation(t *testing.T) {
 	}
 	t0 = time.Now()
 	b.Wait() // first sleeping wait: >= SleepBase
-	if slept := time.Since(t0); slept < strat.SleepBase {
-		t.Fatalf("sleep-level wait returned after %v, want >= %v", slept, strat.SleepBase)
+	if slept := time.Since(t0); slept < SleepBase {
+		t.Fatalf("sleep-level wait returned after %v, want >= %v", slept, SleepBase)
 	}
 	b.Reset()
 	t0 = time.Now()

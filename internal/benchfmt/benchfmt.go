@@ -67,7 +67,7 @@ type Point struct {
 	// on closed-loop points.
 	Latency *LatencyUS `json:"latency_us,omitempty"`
 	// Wait names the blocking-wait strategy a wait-strategy figure
-	// point ran under ("park", "adaptive", "spin"); empty elsewhere.
+	// point ran under ("park", "adaptive"); empty elsewhere.
 	Wait string `json:"wait,omitempty"`
 	// SpinHitRate is the fraction of blocking waits resolved in the
 	// spin/yield phases without parking, in [0, 1] (wait-strategy
@@ -78,9 +78,6 @@ type Point struct {
 	// Threads).
 	Producers int `json:"producers,omitempty"`
 	Consumers int `json:"consumers,omitempty"`
-	// Handoff names the direct-handoff setting a handoff-figure point
-	// ran under ("on", "off"); empty elsewhere.
-	Handoff string `json:"handoff,omitempty"`
 	// HandoffRate is the fraction of handoff attempts that delivered a
 	// value past the ring, in [0, 1] (handoff points only).
 	HandoffRate float64 `json:"handoff_rate,omitempty"`

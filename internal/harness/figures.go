@@ -49,16 +49,12 @@ type Figure struct {
 	// wait ladder and the spin-hit rate.
 	Waiters []int
 	// Waits lists the wait-strategy names a Waiters figure sweeps
-	// ("park", "adaptive", "spin" — backoff.ByName vocabulary).
+	// ("park", "adaptive" — backoff.ByName vocabulary).
 	Waits []string
 	// Splits makes this a handoff figure (h1): the sweep axis is the
-	// explicit {producers, consumers} blocking role split, crossed with
-	// one line per handoff setting in Handoffs. Points carry the
-	// blocking wait ladder and the handoff hit rate.
+	// explicit {producers, consumers} blocking role split. Points carry
+	// the blocking wait ladder and the handoff hit rate.
 	Splits [][2]int
-	// Handoffs lists the handoff settings a Splits figure sweeps ("on",
-	// "off" — queues.HandoffByName vocabulary).
-	Handoffs []string
 }
 
 // Thread sweeps from the paper: x86 peaks at one 18-core socket then
@@ -156,13 +152,12 @@ func Figures() []Figure {
 		{ID: "w1", Title: "Wait strategies vs waiter count: throughput, wait ladder, spin-hit rate", Workload: Pairwise,
 			Threads: []int{8}, Mode: atomicx.NativeFAA, Queues: waitQueues, Blocking: true,
 			Waiters: waiterCounts, Waits: waitStrategies},
-		// Direct handoff A/B: the same blocking workload swept over the
-		// producer:consumer imbalance, with the rendezvous fast path on
-		// vs off. Points carry the wait ladder (wakeup latency) and the
-		// handoff hit rate.
-		{ID: "h1", Title: "Direct handoff on/off vs producer:consumer imbalance: throughput, wait ladder, hit rate", Workload: Pairwise,
+		// Direct handoff: the same blocking workload swept over the
+		// producer:consumer imbalance. Points carry the wait ladder
+		// (wakeup latency) and the handoff hit rate.
+		{ID: "h1", Title: "Direct handoff vs producer:consumer imbalance: throughput, wait ladder, hit rate", Workload: Pairwise,
 			Threads: []int{8}, Mode: atomicx.NativeFAA, Queues: handoffQueues, Blocking: true,
-			Splits: handoffSplits, Handoffs: handoffSettings},
+			Splits: handoffSplits},
 	}
 }
 
@@ -205,10 +200,6 @@ type RunOpts struct {
 	// Waiters overrides a wait-strategy figure's goroutine-count sweep
 	// (cmd/wcqbench -waiters) — how CI runs a miniature w1.
 	Waiters []int
-	// Handoff forces the Chan facades' direct-handoff setting for
-	// every figure (cmd/wcqbench -handoff). The handoff figure h1
-	// ignores it — the on/off cross IS that figure's sweep.
-	Handoff queues.HandoffMode
 }
 
 func (o RunOpts) withDefaults() RunOpts {
@@ -259,7 +250,6 @@ func (f Figure) Run(opts RunOpts) []Point {
 				Shards:     opts.Shards,
 				Ring:       opts.Ring,
 				Core:       opts.Core,
-				Handoff:    opts.Handoff,
 			}
 			if opts.Capacity > 0 {
 				cfg.Capacity = opts.Capacity
@@ -422,7 +412,6 @@ func (f Figure) runLoads(opts RunOpts, qs []string) []Point {
 			Shards:     opts.Shards,
 			Ring:       opts.Ring,
 			Core:       opts.Core,
-			Handoff:    opts.Handoff,
 		}
 		if opts.Capacity > 0 {
 			cfg.Capacity = opts.Capacity

@@ -115,9 +115,6 @@ type Point struct {
 	// BlockingSplit derivation from Threads).
 	Producers int
 	Consumers int
-	// Handoff names the direct-handoff setting this point ran under
-	// ("on"/"off"; h1 only, "" otherwise).
-	Handoff string
 	// HandoffRate is the fraction of handoff attempts that delivered a
 	// value past the ring, in [0, 1] (h1 only).
 	HandoffRate float64

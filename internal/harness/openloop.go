@@ -233,7 +233,7 @@ func RunOpenLoop(name string, cfg queues.Config, opts OpenLoopOpts) (OpenLoopRes
 			// sleeps) instead of a raw Gosched spin, so a saturated run
 			// does not have every backlogged producer hammering the
 			// scheduler in lockstep.
-			bo := backoff.New(nil, seed)
+			bo := backoff.New(seed)
 			for i := 0; i < perProducer; i++ {
 				intended := sc.advance()
 				waitUntil(start, intended)
@@ -279,7 +279,7 @@ func RunOpenLoop(name string, cfg queues.Config, opts OpenLoopOpts) (OpenLoopRes
 			// than a raw Gosched spin: an empty-queue consumer yields a
 			// few times, then sleeps with jitter, so idle consumers do
 			// not synchronize into a polling herd.
-			bo := backoff.New(nil, seed)
+			bo := backoff.New(seed)
 			for {
 				if v, ok := h.Dequeue(); ok {
 					hist.RecordElapsed(time.Since(start) - time.Duration(v))

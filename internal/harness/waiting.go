@@ -64,7 +64,6 @@ func (f Figure) runWaiters(opts RunOpts, qs []string) []Point {
 					Core:       opts.Core,
 					Metrics:    sink,
 					Wait:       strat,
-					Handoff:    opts.Handoff,
 				}
 				if opts.Capacity > 0 {
 					cfg.Capacity = opts.Capacity

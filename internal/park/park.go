@@ -10,8 +10,8 @@
 // Point from the observed spin-success rate (an EWMA over
 // SpinHit/SpinMiss outcomes), so an uncontended point converges to
 // pure spin and an oversubscribed one to immediate park; the
-// internal/backoff Strategy threaded in via SetStrategy tunes or
-// disables the spin phases.
+// internal/backoff Strategy threaded in via SetStrategy keeps the
+// adaptive default or disables the spin phases (park immediately).
 //
 // The park protocol mirrors a futex wait/wake pair and has no lost
 // wakeups:
@@ -29,12 +29,11 @@
 // the condition after waking: wakes can be spurious (forwarded from
 // an aborted waiter), never missing.
 //
-// WakeAll releases waiters in jittered tranches (strategy
-// TrancheSize, default GOMAXPROCS) instead of all at once, so a
-// Close or a sharded not-full broadcast does not make the scheduler
-// swallow a thundering herd. The staggering preserves the invariant
-// that every waiter registered when WakeAll was called is woken by
-// that call.
+// WakeAll releases waiters in jittered tranches (GOMAXPROCS, floored
+// at minWakeTranche) instead of all at once, so a Close or a sharded
+// not-full broadcast does not make the scheduler swallow a thundering
+// herd. The staggering preserves the invariant that every waiter
+// registered when WakeAll was called is woken by that call.
 //
 // # Direct handoff
 //
@@ -126,6 +125,9 @@ type Point struct {
 	// wakeRng jitters the inter-tranche stagger of WakeAll; stepped
 	// only under mu.
 	wakeRng backoff.Rand
+	// tranche overrides the WakeAll tranche size when positive; tests
+	// set it to pin the staggering, everything else leaves it zero.
+	tranche int
 }
 
 // SetMetrics points the parking lot at a metrics sink (nil disables):
@@ -157,9 +159,8 @@ func (p *Point) SpinHitRate() float64 { return p.adapt.Rate() }
 // when contention eases. A hit slower than backoff.SpinHitBudget is
 // profitability-gated: it still returns true, but it decays the
 // estimate (spinning that resolves slower than a park round-trip is
-// a loss, however often it "succeeds"). KindSpin always spends the
-// full budgets; KindPark returns false immediately (the pre-adaptive
-// behavior).
+// a loss, however often it "succeeds"). KindPark returns false
+// immediately (the pre-adaptive behavior).
 //
 // Hits record into the same blocking-wait histogram parks do (with
 // their much shorter durations), so the wait-latency ladder stays
@@ -167,31 +168,22 @@ func (p *Point) SpinHitRate() float64 { return p.adapt.Rate() }
 //
 //wfq:allocok allocation-free itself; calls a caller-provided closure the checker cannot vet
 func (p *Point) SpinWait(rng *backoff.Rand, cond func() bool) bool {
-	st := p.strat
-	mode := st.Mode()
-	if mode == backoff.KindPark {
+	if p.strat.Mode() == backoff.KindPark {
 		return false
 	}
-	spins := st.SpinBudget()
-	adaptive := mode == backoff.KindAdaptive
 	probing := false
-	if adaptive {
-		spins = p.adapt.Budget(spins)
-		if spins == 0 {
-			if !backoff.Probe(rng) {
-				// Converged to immediate park; don't even count the
-				// outcome, or misses would swamp the estimate the
-				// probes exist to keep honest.
-				return false
-			}
-			probing = true
-			spins = backoff.ProbeSpins
+	spins := p.adapt.Budget(backoff.MaxSpin)
+	if spins == 0 {
+		if !backoff.Probe(rng) {
+			// Converged to immediate park; don't even count the
+			// outcome, or misses would swamp the estimate the probes
+			// exist to keep honest.
+			return false
 		}
+		probing = true
+		spins = backoff.ProbeSpins
 	}
-	var t0 time.Time
-	if adaptive || p.met.Enabled() {
-		t0 = time.Now()
-	}
+	t0 := time.Now()
 	hit := false
 	for i := 0; i < spins; i++ {
 		if cond() {
@@ -207,7 +199,7 @@ func (p *Point) SpinWait(rng *backoff.Rand, cond func() bool) bool {
 		// phase: a probe samples whether cheap spinning works again, and
 		// a yield-phase "success" on a loaded host is exactly the
 		// Pyrrhic outcome the collapsed budget is avoiding.
-		yields := 1 + rng.Intn(st.YieldBudget())
+		yields := 1 + rng.Intn(backoff.MaxYields)
 		for i := 0; i < yields; i++ {
 			runtime.Gosched()
 			if cond() {
@@ -216,20 +208,15 @@ func (p *Point) SpinWait(rng *backoff.Rand, cond func() bool) bool {
 			}
 		}
 	}
-	var elapsed time.Duration
-	if !t0.IsZero() {
-		elapsed = time.Since(t0)
-	}
-	if adaptive {
-		if hit && elapsed > backoff.SpinHitBudget {
-			// Pyrrhic hit: the condition came true, but slower than a
-			// park round-trip would have been. Reinforcing the estimate
-			// here is the oversubscription trap — yields always succeed
-			// eventually — so it decays instead.
-			p.adapt.Decay()
-		} else {
-			p.adapt.Observe(hit)
-		}
+	elapsed := time.Since(t0)
+	if hit && elapsed > backoff.SpinHitBudget {
+		// Pyrrhic hit: the condition came true, but slower than a park
+		// round-trip would have been. Reinforcing the estimate here is
+		// the oversubscription trap — yields always succeed eventually —
+		// so it decays instead.
+		p.adapt.Decay()
+	} else {
+		p.adapt.Observe(hit)
 	}
 	if hit {
 		p.met.Inc(metrics.SpinHit)
@@ -334,8 +321,7 @@ func (p *Point) Wake(n int) {
 
 // WakeAll wakes every waiter registered at the moment of the call
 // (used on close and for the sharded not-full broadcast), releasing
-// them in jittered tranches of the strategy's TrancheSize (default
-// GOMAXPROCS) with the lock dropped and a few Gosched calls between
+// them in jittered tranches (see trancheSize) with the lock dropped and a few Gosched calls between
 // tranches, so a large herd reaches the scheduler in runnable-sized
 // waves instead of all at once.
 //
@@ -354,7 +340,7 @@ func (p *Point) WakeAll() {
 		return
 	}
 	met := p.met
-	tranche := p.strat.TrancheSize()
+	tranche := p.trancheSize()
 	for target > 0 {
 		p.mu.Lock()
 		woken := 0
@@ -386,6 +372,28 @@ func (p *Point) WakeAll() {
 			runtime.Gosched()
 		}
 	}
+}
+
+// minWakeTranche floors the default tranche size. On a small-P host
+// GOMAXPROCS alone would degenerate to near-per-waiter staggering —
+// O(waiters) yields inside the waker's critical path, which throttles
+// the very progress the woken waiters are waiting on (a broadcast per
+// freed slot turns into a stable re-park herd).
+const minWakeTranche = 8
+
+// trancheSize returns the staggered-wake tranche size: GOMAXPROCS
+// sampled at wake time (one runnable waiter per P), floored at
+// minWakeTranche, unless a test pinned p.tranche.
+//
+//wfq:noalloc
+func (p *Point) trancheSize() int {
+	if p.tranche > 0 {
+		return p.tranche
+	}
+	if g := runtime.GOMAXPROCS(0); g > minWakeTranche {
+		return g
+	}
+	return minWakeTranche
 }
 
 // claimScanCap bounds how many queued waiters one Claim examines

@@ -17,7 +17,7 @@ import (
 func TestStaggeredWakeAllWakesEveryWaiter(t *testing.T) {
 	const waiters = 100
 	var p Point
-	p.SetStrategy(&backoff.Strategy{WakeTranche: 3})
+	p.tranche = 3
 	sink := metrics.New()
 	p.SetMetrics(sink)
 
@@ -70,7 +70,7 @@ func TestStaggeredWakeAllWakesEveryWaiter(t *testing.T) {
 // is released in one tranche, like the pre-stagger WakeAll.
 func TestWakeAllSingleTrancheFastPath(t *testing.T) {
 	var p Point
-	p.SetStrategy(&backoff.Strategy{WakeTranche: 8})
+	p.tranche = 8
 	sink := metrics.New()
 	p.SetMetrics(sink)
 	ws := make([]*Waiter, 5)

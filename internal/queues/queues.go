@@ -66,43 +66,9 @@ type Config struct {
 	// baselines are not instrumented and ignore it.
 	Metrics *metrics.Sink
 	// Wait selects the blocking-wait strategy for the Chan facades
-	// (spin-then-park tuning; nil = adaptive). The nonblocking
-	// variants ignore it.
+	// (nil = adaptive spin-then-park). The nonblocking variants ignore
+	// it.
 	Wait *backoff.Strategy
-	// Handoff toggles the direct-handoff rendezvous fast path of the
-	// Chan facades (the zero value keeps the default: enabled). The
-	// nonblocking variants ignore it.
-	Handoff HandoffMode
-}
-
-// HandoffMode is the tri-state direct-handoff selector: the zero value
-// keeps the default (enabled) so a Config that never heard of handoff
-// stays correct, while HandoffOff pins the pre-handoff ring path for
-// A/B comparison.
-type HandoffMode uint8
-
-const (
-	// HandoffDefault applies the default, which is enabled.
-	HandoffDefault HandoffMode = iota
-	// HandoffOn enables the direct-handoff rendezvous path explicitly.
-	HandoffOn
-	// HandoffOff disables it: every value moves through the ring and
-	// every wake is a plain token (the pre-handoff behavior).
-	HandoffOff
-)
-
-// HandoffByName maps the -handoff flag vocabulary ("", "on", "off") to
-// a mode, erroring on unknown names.
-func HandoffByName(name string) (HandoffMode, error) {
-	switch name {
-	case "":
-		return HandoffDefault, nil
-	case "on":
-		return HandoffOn, nil
-	case "off":
-		return HandoffOff, nil
-	}
-	return 0, fmt.Errorf("queues: unknown handoff mode %q (have on, off)", name)
 }
 
 func (c Config) withDefaults() Config {
@@ -469,9 +435,6 @@ func newChanBuilder(name string, backend wfqueue.Backend) Builder {
 		}
 		if cfg.Wait != nil {
 			opts = append(opts, wfqueue.WithWaitStrategy(cfg.Wait))
-		}
-		if cfg.Handoff != HandoffDefault {
-			opts = append(opts, wfqueue.WithHandoff(cfg.Handoff == HandoffOn))
 		}
 		if o := cfg.Core; o != nil {
 			opts = append(opts,

@@ -40,12 +40,17 @@ func (k RingKind) String() string {
 }
 
 // kind maps the public ring-kind constant to the shared ringcore
-// contract every internal composition consumes.
-func (k RingKind) kind() ringcore.Kind {
-	if k == RingSCQ {
-		return ringcore.KindSCQ
+// contract every internal composition consumes. It is the one place
+// an unknown RingKind is rejected, so no constructor can silently
+// build a default ring for it.
+func (k RingKind) kind() (ringcore.Kind, error) {
+	switch k {
+	case RingWCQ:
+		return ringcore.KindWCQ, nil
+	case RingSCQ:
+		return ringcore.KindSCQ, nil
 	}
-	return ringcore.KindWCQ
+	return 0, fmt.Errorf("wfqueue: unknown ring kind %d", int(k))
 }
 
 // WithRingKind selects the ring core the linked-ring and sharded
@@ -99,7 +104,12 @@ type UnboundedHandle[T any] struct {
 // rings carry a thread census; RingSCQ accepts any number of
 // handles). Configure with WithRingKind and WithRingCapacity.
 func NewUnbounded[T any](maxThreads int, opts ...Option) (*UnboundedQueue[T], error) {
-	o := buildOpts(opts)
+	return newUnbounded[T](maxThreads, buildOpts(opts))
+}
+
+// newUnbounded is NewUnbounded over already-parsed options, so NewChan
+// can set the ring size without re-running the caller's Option list.
+func newUnbounded[T any](maxThreads int, o options) (*UnboundedQueue[T], error) {
 	if maxThreads < 1 {
 		return nil, fmt.Errorf("wfqueue: maxThreads must be >= 1, got %d", maxThreads)
 	}
@@ -110,10 +120,11 @@ func NewUnbounded[T any](maxThreads int, opts ...Option) (*UnboundedQueue[T], er
 	if ringCap < 2 || !ring.IsPow2(ringCap) {
 		return nil, fmt.Errorf("wfqueue: ring capacity must be a power of two >= 2, got %d", ringCap)
 	}
-	if o.ringKind != RingWCQ && o.ringKind != RingSCQ {
-		return nil, fmt.Errorf("wfqueue: unknown ring kind %d", o.ringKind)
+	kind, err := o.ringKind.kind()
+	if err != nil {
+		return nil, err
 	}
-	q, err := unbounded.New[T](o.ringKind.kind(), ringCap, maxThreads, o.core())
+	q, err := unbounded.New[T](kind, ringCap, maxThreads, o.core())
 	if err != nil {
 		return nil, err
 	}

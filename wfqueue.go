@@ -69,7 +69,6 @@ type options struct {
 	unboundedShards bool
 	metrics         *metrics.Sink
 	wait            *backoff.Strategy
-	noHandoff       bool
 }
 
 // core translates the accumulated options into the shared ring-core
@@ -132,12 +131,12 @@ func WithMetrics(m *MetricsSink) Option {
 	return func(o *options) { o.metrics = m }
 }
 
-// WaitStrategy tunes how blocking Chan operations wait: a bounded
+// WaitStrategy selects how blocking Chan operations wait: a bounded
 // spin re-checking the condition, a short jittered yield phase, then
 // a futex park (the three-phase machine in internal/park). The zero
 // value and nil both mean the adaptive default, where the spin budget
 // tracks each park point's observed spin-success rate. Construct one
-// with AdaptiveWait/SpinWait/ParkWait or WaitStrategyByName.
+// with AdaptiveWait or ParkWait.
 type WaitStrategy = backoff.Strategy
 
 // AdaptiveWait returns the default strategy: spin-then-park with the
@@ -146,39 +145,18 @@ type WaitStrategy = backoff.Strategy
 // one to immediate park.
 func AdaptiveWait() *WaitStrategy { return backoff.Adaptive() }
 
-// SpinWait returns the always-spin strategy: the full spin and yield
-// budgets are spent on every wait regardless of outcome history.
-// Lowest wakeup latency when waits are short; wasteful when they are
-// not.
-func SpinWait() *WaitStrategy { return backoff.Spin() }
-
 // ParkWait returns the immediate-park strategy: no spin phase at all,
 // the pre-adaptive behavior. The cheapest strategy when waits are
-// long and the baseline the perf gate compares against.
+// long — under deep oversubscription it keeps the wait tail short
+// where adaptive's yield phase stretches it — and the baseline the
+// perf gate compares against.
 func ParkWait() *WaitStrategy { return backoff.Park() }
-
-// WaitStrategyByName maps the flag vocabulary ("adaptive", "spin",
-// "park"; "" defaults to adaptive) to a strategy, erroring on unknown
-// names. The inverse of (*WaitStrategy).Name.
-func WaitStrategyByName(name string) (*WaitStrategy, error) { return backoff.ByName(name) }
 
 // WithWaitStrategy selects how NewChan's blocking operations wait
 // (nil or omitted = adaptive). Constructors without blocking
 // operations ignore this option.
 func WithWaitStrategy(s *WaitStrategy) Option {
 	return func(o *options) { o.wait = s }
-}
-
-// WithHandoff enables or disables NewChan's direct-handoff rendezvous
-// path (enabled by default): a Send that finds a receiver already
-// waiting on a verifiably empty Chan publishes the value straight into
-// the waiter's transfer cell instead of crossing the ring, and a Recv
-// that frees a slot while senders wait completes a parked sender's
-// pending enqueue directly. Disabling pins the pre-handoff ring path —
-// the A/B baseline the h1 figure and the perf smoke compare against.
-// Constructors without blocking operations ignore this option.
-func WithHandoff(enabled bool) Option {
-	return func(o *options) { o.noHandoff = !enabled }
 }
 
 // WithShards sets the shard count for NewSharded (default 4). The
@@ -482,12 +460,17 @@ type ShardedHandle[T any] struct {
 // linked-ring shards, reinterpreting capacity as each shard's ring
 // size (a power of two >= 2).
 func NewSharded[T any](capacity uint64, maxThreads int, opts ...Option) (*ShardedQueue[T], error) {
+	return newSharded[T](capacity, maxThreads, buildOpts(opts))
+}
+
+// newSharded is NewSharded over already-parsed options, so NewChan can
+// select unbounded shards without re-running the caller's Option list.
+func newSharded[T any](capacity uint64, maxThreads int, o options) (*ShardedQueue[T], error) {
 	// The total capacity need not be a power of two — only the
 	// per-shard quotient must be, which sharded.New validates.
 	if maxThreads < 1 {
 		return nil, fmt.Errorf("wfqueue: maxThreads must be >= 1, got %d", maxThreads)
 	}
-	o := buildOpts(opts)
 	if o.unboundedShards {
 		// capacity is each shard's ring size here; phrase the contract
 		// in this package's vocabulary instead of the internal layers'.
@@ -495,9 +478,13 @@ func NewSharded[T any](capacity uint64, maxThreads int, opts ...Option) (*Sharde
 			return nil, err
 		}
 	}
+	kind, err := o.ringKind.kind()
+	if err != nil {
+		return nil, err
+	}
 	q, err := sharded.New[T](capacity, maxThreads, &sharded.Options{
 		Shards:    o.shards,
-		Kind:      o.ringKind.kind(),
+		Kind:      kind,
 		Unbounded: o.unboundedShards,
 		Core:      o.core(),
 	})

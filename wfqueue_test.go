@@ -301,3 +301,36 @@ func TestGenericPayloads(t *testing.T) {
 		t.Fatalf("got %+v", v)
 	}
 }
+
+// TestUnknownRingKindRejected: every constructor that reads
+// WithRingKind rejects a kind outside RingWCQ/RingSCQ with the same
+// error, instead of silently building wCQ rings for it.
+func TestUnknownRingKindRejected(t *testing.T) {
+	bad := WithRingKind(RingKind(7))
+	chanOn := func(b Backend) func() error {
+		return func() error {
+			_, err := NewChan[int](16, 2, WithBackend(b), bad)
+			return err
+		}
+	}
+	for _, tc := range []struct {
+		name  string
+		build func() error
+	}{
+		{"NewSharded", func() error { _, err := NewSharded[int](16, 2, bad); return err }},
+		{"NewUnbounded", func() error { _, err := NewUnbounded[int](2, bad); return err }},
+		{"NewChan/" + BackendSharded.String(), chanOn(BackendSharded)},
+		{"NewChan/" + BackendUnbounded.String(), chanOn(BackendUnbounded)},
+		{"NewChan/" + BackendShardedUnbounded.String(), chanOn(BackendShardedUnbounded)},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			err := tc.build()
+			if err == nil {
+				t.Fatal("RingKind(7) accepted")
+			}
+			if want := "wfqueue: unknown ring kind 7"; err.Error() != want {
+				t.Fatalf("error = %q, want %q", err, want)
+			}
+		})
+	}
+}
