@@ -6,93 +6,110 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"repro/internal/metrics"
 )
 
-// TestPublicBatchRoundTrip drives the public batch surface of every
-// nonblocking variant: whole batches in, contiguous FIFO out.
+// TestPublicBatchRoundTrip drives every constructor behind the one
+// Queue type: whole batches in, contiguous FIFO out, plus the
+// introspection every Queue answers (Cap, Shards, RingCap, Rings,
+// Stats) phrased per variant.
 func TestPublicBatchRoundTrip(t *testing.T) {
 	in := make([]int, 24)
 	for i := range in {
 		in[i] = i
 	}
-	check := func(t *testing.T, enq func([]int) int, deq func([]int) int) {
-		t.Helper()
-		if n := enq(in); n != len(in) {
-			t.Fatalf("EnqueueBatch = %d, want %d", n, len(in))
+	lockFree := func(o ...Option) (*Queue[int], error) {
+		q, err := NewLockFree[int](64, o...)
+		if err != nil {
+			return nil, err
 		}
-		out := make([]int, len(in))
-		got := 0
-		for got < len(in) {
-			n := deq(out[got:])
-			if n == 0 {
-				t.Fatalf("lost values: drained %d of %d", got, len(in))
-			}
-			got += n
-		}
-		for i, v := range out {
-			if v != in[i] {
-				t.Fatalf("out[%d] = %d, want %d", i, v, in[i])
-			}
-		}
+		return q.Queue, nil
 	}
-
-	t.Run("Queue", func(t *testing.T) {
-		q, err := New[int](64, 2)
-		if err != nil {
-			t.Fatal(err)
+	type row struct {
+		name      string
+		build     func(o ...Option) (*Queue[int], error)
+		unbounded bool
+		shards    int
+		ringCap   uint64
+	}
+	rows := []row{
+		{"Queue", func(o ...Option) (*Queue[int], error) { return New[int](64, 2, o...) }, false, 1, 64},
+		{"LockFree", lockFree, false, 1, 64},
+	}
+	for _, k := range []RingKind{RingWCQ, RingSCQ} {
+		suffix := ""
+		if k == RingSCQ {
+			suffix = "SCQ"
 		}
-		h, err := q.Handle()
-		if err != nil {
-			t.Fatal(err)
-		}
-		check(t, h.EnqueueBatch, h.DequeueBatch)
-	})
-	t.Run("LockFree", func(t *testing.T) {
-		q, err := NewLockFree[int](64)
-		if err != nil {
-			t.Fatal(err)
-		}
-		h, err := q.Handle()
-		if err != nil {
-			t.Fatal(err)
-		}
-		check(t, h.EnqueueBatch, h.DequeueBatch)
-	})
-	t.Run("ShardedUnbounded", func(t *testing.T) {
-		// Ring size 8 forces rollover inside each shard mid-batch.
-		q, err := NewSharded[int](8, 2, WithUnboundedShards(4))
-		if err != nil {
-			t.Fatal(err)
-		}
-		h, err := q.Handle()
-		if err != nil {
-			t.Fatal(err)
-		}
-		check(t, h.EnqueueBatch, h.DequeueBatch)
-	})
-	t.Run("Sharded", func(t *testing.T) {
-		// Home-shard capacity is total/shards; 256/4 = 64 >= the batch.
-		q, err := NewSharded[int](256, 2)
-		if err != nil {
-			t.Fatal(err)
-		}
-		h, err := q.Handle()
-		if err != nil {
-			t.Fatal(err)
-		}
-		check(t, h.EnqueueBatch, h.DequeueBatch)
-	})
-	t.Run("Unbounded", func(t *testing.T) {
-		q, err := NewUnbounded[int](2, WithRingCapacity(8)) // force ring rollover mid-batch
-		if err != nil {
-			t.Fatal(err)
-		}
-		h, err := q.Handle()
-		if err != nil {
-			t.Fatal(err)
-		}
-		check(t, h.EnqueueBatch, h.DequeueBatch)
-	})
+		rows = append(rows,
+			// Home-shard capacity is total/shards; 256/4 = 64 >= the batch.
+			row{"Sharded" + suffix, func(o ...Option) (*Queue[int], error) {
+				return NewSharded[int](256, 2, append(o, WithRingKind(k))...)
+			}, false, 4, 64},
+			// Ring size 8 forces rollover inside each shard mid-batch.
+			row{"ShardedUnbounded" + suffix, func(o ...Option) (*Queue[int], error) {
+				return NewSharded[int](8, 2, append(o, WithRingKind(k), WithUnboundedShards(4))...)
+			}, true, 4, 8},
+			row{"Unbounded" + suffix, func(o ...Option) (*Queue[int], error) {
+				return NewUnbounded[int](2, append(o, WithRingKind(k), WithRingCapacity(8))...)
+			}, true, 1, 8},
+		)
+	}
+	for _, r := range rows {
+		t.Run(r.name, func(t *testing.T) {
+			sink := NewMetricsSink()
+			q, err := r.build(WithMetrics(sink))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := q.Cap() == 0; got != r.unbounded {
+				t.Fatalf("Cap() = %d; unbounded = %v", q.Cap(), r.unbounded)
+			}
+			if q.Shards() != r.shards || q.RingCap() != r.ringCap {
+				t.Fatalf("Shards() = %d, RingCap() = %d; want %d, %d", q.Shards(), q.RingCap(), r.shards, r.ringCap)
+			}
+			h, err := q.Handle()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if n := h.EnqueueBatch(in); n != len(in) {
+				t.Fatalf("EnqueueBatch = %d, want %d", n, len(in))
+			}
+			out := make([]int, len(in))
+			got := 0
+			for got < len(in) {
+				n := h.DequeueBatch(out[got:])
+				if n == 0 {
+					t.Fatalf("lost values: drained %d of %d", got, len(in))
+				}
+				got += n
+			}
+			for i, v := range out {
+				if v != in[i] {
+					t.Fatalf("out[%d] = %d, want %d", i, v, in[i])
+				}
+			}
+			if r.unbounded {
+				for i := 0; i < 100; i++ { // overfill the 8-slot rings
+					if !h.Enqueue(i) {
+						t.Fatalf("unbounded Enqueue reported full at %d", i)
+					}
+				}
+				if q.Rings() <= 1 {
+					t.Fatalf("Rings() = %d after overfilling 8-slot rings", q.Rings())
+				}
+				if sink.Snapshot().Counts[metrics.RingSeal] == 0 {
+					t.Fatal("ring turnover recorded no RingSeal")
+				}
+			} else if q.Rings() != 0 {
+				t.Fatalf("Rings() = %d on a bounded queue, want 0", q.Rings())
+			}
+			if q.Stats().Counts != sink.Snapshot().Counts {
+				t.Fatalf("Stats().Counts = %v, sink counts %v", q.Stats().Counts, sink.Snapshot().Counts)
+			}
+		})
+	}
 }
 
 // TestQueueBatchPartialOnFull pins the partial-success contract at the

@@ -2,7 +2,6 @@ package wfqueue
 
 import (
 	"context"
-	"fmt"
 	"sync/atomic"
 	"unsafe"
 
@@ -160,61 +159,9 @@ var handleSeed atomic.Uint64
 // for the sharded variant) — and Send never blocks.
 func NewChan[T any](capacity uint64, maxThreads int, opts ...Option) (*Chan[T], error) {
 	o := buildOpts(opts)
-	var core ringcore.Core[T]
-	switch o.backend {
-	case BackendWCQ, BackendSCQ:
-		kind, census := ringcore.KindWCQ, maxThreads
-		if o.backend == BackendSCQ {
-			kind, census = ringcore.KindSCQ, 1 // no census: maxThreads is ignored
-		}
-		if err := validate(capacity, census); err != nil {
-			return nil, err
-		}
-		r, err := ringcore.New[T](kind, capacity, maxThreads, o.core())
-		if err != nil {
-			return nil, err
-		}
-		core = r
-	case BackendSharded:
-		// WithUnboundedShards would silently turn this bounded backend
-		// unbounded (Cap 0, no Send backpressure); the unbounded-sharded
-		// Chan is its own backend, so reject the mix instead.
-		if o.unboundedShards {
-			return nil, fmt.Errorf("wfqueue: WithUnboundedShards conflicts with BackendSharded; use BackendShardedUnbounded")
-		}
-		q, err := newSharded[T](capacity, maxThreads, o)
-		if err != nil {
-			return nil, err
-		}
-		core = q.q.Core()
-	case BackendUnbounded:
-		// The capacity parameter becomes the linked rings' size: the
-		// buffer has no bound, so Send never parks. Validate it here —
-		// NewUnbounded would silently swap a zero for its default,
-		// hiding a misconfiguration every other backend rejects.
-		if err := validate(capacity, maxThreads); err != nil {
-			return nil, err
-		}
-		o.ringCap = capacity
-		q, err := newUnbounded[T](maxThreads, o)
-		if err != nil {
-			return nil, err
-		}
-		core = q.q.Core()
-	case BackendShardedUnbounded:
-		// Like BackendUnbounded, capacity is a ring size (here: each
-		// shard's), never a bound, so Send never parks.
-		if err := validate(capacity, maxThreads); err != nil {
-			return nil, err
-		}
-		o.unboundedShards = true
-		q, err := newSharded[T](capacity, maxThreads, o)
-		if err != nil {
-			return nil, err
-		}
-		core = q.q.Core()
-	default:
-		return nil, fmt.Errorf("wfqueue: unknown chan backend %d", o.backend)
+	core, err := newCore[T](o.backend, capacity, maxThreads, o)
+	if err != nil {
+		return nil, err
 	}
 	c := &Chan[T]{
 		core:        core,
@@ -274,6 +221,11 @@ func (c *Chan[T]) Cap() uint64 { return c.core.Cap() }
 // BackendShardedUnbounded it is the live ring footprint, which grows
 // with buffered values and shrinks after a drain.
 func (c *Chan[T]) Footprint() uint64 { return c.core.Footprint() }
+
+// Rings returns the number of live linked rings behind an unbounded
+// backend (summed over shards for BackendShardedUnbounded), or 0 for
+// the bounded backends. Racy by nature; for introspection.
+func (c *Chan[T]) Rings() int { return rings(c.core) }
 
 // Closed reports whether Close has been called.
 func (c *Chan[T]) Closed() bool { return c.closed.Load() }

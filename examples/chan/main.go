@@ -109,6 +109,9 @@ func main() {
 	n := <-collected
 	fmt.Printf("%d jobs through %d workers in %v (graceful close, nothing lost: %v)\n",
 		jobs, workers, time.Since(start).Round(time.Millisecond), n == jobs)
+	if n != jobs {
+		panic(fmt.Sprintf("lost results: collected %d of %d", n, jobs))
+	}
 
 	// Deadline-bounded receive on a drained, closed queue family:
 	// RecvCtx returns ErrClosed immediately rather than waiting out

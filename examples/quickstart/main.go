@@ -70,4 +70,7 @@ func main() {
 	want := total * (total - 1) / 2
 	fmt.Printf("moved %d values, checksum %d (want %d) — %v\n",
 		received.Load(), sum.Load(), want, sum.Load() == want)
+	if sum.Load() != want {
+		panic("checksum mismatch: a value was lost or duplicated")
+	}
 }

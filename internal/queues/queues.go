@@ -46,9 +46,6 @@ type Config struct {
 	MaxThreads int
 	// Mode selects native or emulated F&A (the Fig. 12 configuration).
 	Mode atomicx.Mode
-	// LCRQOrder overrides the CRQ ring order (default 12, as in the
-	// paper).
-	LCRQOrder uint
 	// Shards is the sub-queue count for the sharded compositions
 	// (default sharded.DefaultShards).
 	Shards int
@@ -139,7 +136,7 @@ func buildSharded(unboundedShards bool) func(Config) (ringcore.Core[uint64], err
 		if err != nil {
 			return nil, err
 		}
-		return q.Core(), nil
+		return q, nil
 	}
 }
 
@@ -152,7 +149,7 @@ func buildUnbounded(kind ringcore.Kind) func(Config) (ringcore.Core[uint64], err
 		if err != nil {
 			return nil, err
 		}
-		return q.Core(), nil
+		return q, nil
 	}
 }
 
@@ -233,18 +230,12 @@ func (w *coreQueue) Cap() uint64       { return w.core.Cap() }
 func (w *coreQueue) Footprint() uint64 { return w.core.Footprint() }
 func (w *coreQueue) Name() string      { return w.name }
 
-// Stats satisfies queueapi.Statser through the ringcore Statser
-// contract every ring-based core implements; cores built without a
-// sink report the zero snapshot.
-func (w *coreQueue) Stats() metrics.Snapshot {
-	if s, ok := w.core.(ringcore.Statser); ok {
-		return s.Stats()
-	}
-	return metrics.Snapshot{}
-}
+// Stats satisfies queueapi.Statser; cores built without a sink
+// report the zero snapshot.
+func (w *coreQueue) Stats() metrics.Snapshot { return w.core.Stats() }
 
 // Rings forwards the live linked-ring population of the unbounded
-// cores (0 for bounded cores, which have exactly their one ring), so
+// cores, summed over unbounded shards (0 for bounded cores), so
 // observability consumers can gauge growth without knowing the kind.
 func (w *coreQueue) Rings() int {
 	if r, ok := w.core.(interface{ Rings() int }); ok {
@@ -266,7 +257,7 @@ func newLCRQ(cfg Config) (queueapi.Queue, error) {
 	if cfg.Mode == atomicx.EmulatedFAA {
 		return nil, fmt.Errorf("lcrq: not available without CAS2 (the paper omits it on PowerPC)")
 	}
-	return &lcrqQueue{q: lcrq.New(cfg.LCRQOrder)}, nil
+	return &lcrqQueue{q: lcrq.New(lcrq.DefaultRingOrder)}, nil
 }
 
 func (w *lcrqQueue) Handle() (queueapi.Handle, error) { return &lcrqHandle{q: w.q}, nil }
@@ -464,6 +455,10 @@ func (w *chanQueue) Close() error      { return w.c.Close() }
 // Stats satisfies queueapi.Statser: the Chan's sink aggregates the
 // backing core plus the park points' park/wake/parked-duration data.
 func (w *chanQueue) Stats() metrics.Snapshot { return w.c.Stats() }
+
+// Rings forwards the live linked-ring population of the unbounded
+// backends (0 for the bounded ones), like coreQueue.Rings.
+func (w *chanQueue) Rings() int { return w.c.Rings() }
 
 // Enqueue and Dequeue keep the nonblocking contract (a closed Chan
 // reads as full and, once drained, empty).

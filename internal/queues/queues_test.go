@@ -149,6 +149,39 @@ func TestUnboundedConformance(t *testing.T) {
 	}
 }
 
+// TestUnboundedRingsGauge pins the live-ring gauge every unbounded
+// registry entry exports (wcqstressd's "rings"): overfilling 4-slot
+// rings must show up as more than one linked ring, through the sharded
+// composition and the Chan facades too.
+func TestUnboundedRingsGauge(t *testing.T) {
+	for _, name := range UnboundedQueues() {
+		t.Run(name, func(t *testing.T) {
+			cfg := testCfg()
+			cfg.Capacity = 4
+			q, err := New(name, cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			r, ok := q.(interface{ Rings() int })
+			if !ok {
+				t.Fatalf("%s has no Rings method", name)
+			}
+			h, err := q.Handle()
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i := 0; i < 100; i++ {
+				if !h.Enqueue(uint64(i)) {
+					t.Fatalf("unbounded queue reported full at %d", i)
+				}
+			}
+			if got := r.Rings(); got <= 1 {
+				t.Fatalf("Rings() = %d after 100 values in 4-slot rings, want > 1", got)
+			}
+		})
+	}
+}
+
 func TestLCRQUnavailableUnderEmulation(t *testing.T) {
 	cfg := testCfg()
 	cfg.Mode = atomicx.EmulatedFAA

@@ -17,10 +17,11 @@
 //   - Handle is the per-goroutine operating surface: scalar and
 //     native-batch enqueue/dequeue, plus the sealed variants the
 //     linked-ring construction uses. A core that is never sealed
-//     (an unbounded composite exposed as a Core) treats EnqueueSealed
-//     exactly as Enqueue.
+//     (a sharded or unbounded composite) treats EnqueueSealed exactly
+//     as Enqueue.
 //   - Core is what any composition needs to hold a sub-queue: handle
-//     acquisition, capacity, live footprint, and the ring kind.
+//     acquisition, capacity, live footprint, the ring kind and a
+//     metrics snapshot.
 //   - Ring adds the seal/drain/reset recycling lifecycle only the
 //     unbounded construction drives.
 package ringcore
@@ -137,17 +138,6 @@ func (o *Options) mode() atomicx.Mode {
 	return o.Mode
 }
 
-// Statser is the optional introspection face of a core: a snapshot of
-// the metrics sink it records into. Every core and composition in this
-// repository implements it; because one Sink is threaded through all
-// the layers of a composition, the outermost Stats() already
-// aggregates the whole stack. A core built without metrics returns the
-// zero Snapshot.
-type Statser interface {
-	// Stats snapshots the core's metrics sink.
-	Stats() metrics.Snapshot
-}
-
 // Handle is a goroutine's capability to operate on a core. Like the
 // underlying queues' handles it must not be used by two goroutines
 // concurrently. Batch operations move through the cores' native
@@ -174,10 +164,11 @@ type Handle[T any] interface {
 }
 
 // Core is a queue core behind the one contract every composition
-// consumes: handle acquisition plus the introspection the registry
-// and the harness need. Both bounded ring kinds implement it (via
-// Ring), and so do the composites that want to be composed again —
-// the sharded and unbounded queues each expose themselves as a Core.
+// consumes: handle acquisition plus the introspection the registry,
+// the harness and the public facade need. Both bounded ring kinds
+// implement it (via Ring), and so do the composites, so they can be
+// composed again: *sharded.Queue and *unbounded.Queue are Cores
+// themselves.
 type Core[T any] interface {
 	// Acquire returns a per-goroutine Handle. For kinds with a thread
 	// census (KindWCQ) it fails once the census is exhausted;
@@ -199,6 +190,11 @@ type Core[T any] interface {
 	Empty() bool
 	// Kind identifies the ring kind the core is built from.
 	Kind() Kind
+	// Stats snapshots the metrics sink the core records into. One sink
+	// is threaded through every layer of a composition, so the
+	// outermost Stats already aggregates the whole stack; a core built
+	// without metrics returns the zero Snapshot.
+	Stats() metrics.Snapshot
 }
 
 // Ring is a recyclable bounded core: a Core plus the seal/drain/reset

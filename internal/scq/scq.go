@@ -484,10 +484,6 @@ func (q *Ring) catchup(tail, head uint64) {
 type Queue[T any] struct {
 	*payload.Queue[T]
 	aq, fq *Ring
-	// shared serves the handle-free scalar operations. A payload
-	// handle's scalar path touches no per-handle state and SCQ rings
-	// need no registration, so one handle is safe for every goroutine.
-	shared *QueueHandle[T]
 }
 
 // QueueHandle is a goroutine's view of a Queue. It draws on no thread
@@ -506,25 +502,12 @@ func NewQueue[T any](capacity uint64, mode atomicx.Mode) (*Queue[T], error) {
 	if err != nil {
 		return nil, err
 	}
-	q := &Queue[T]{Queue: payload.New[T](aq, fq), aq: aq, fq: fq}
-	q.shared = q.Register()
-	return q, nil
+	return &Queue[T]{Queue: payload.New[T](aq, fq), aq: aq, fq: fq}, nil
 }
 
 // Register returns a fresh per-goroutine handle. SCQ has no thread
 // census, so any number of handles may be created.
 func (q *Queue[T]) Register() *QueueHandle[T] { return payload.NewHandle(q.Queue, q.aq, q.fq) }
-
-// Enqueue appends v. It returns false when the queue is full.
-//
-//wfq:noalloc
-func (q *Queue[T]) Enqueue(v T) bool { return q.shared.Enqueue(v) }
-
-// Dequeue removes and returns the oldest value. ok is false when the
-// queue is empty.
-//
-//wfq:noalloc
-func (q *Queue[T]) Dequeue() (v T, ok bool) { return q.shared.Dequeue() }
 
 // SetMetrics points both underlying rings at a metrics sink (nil
 // disables). Must be called before the queue is shared.

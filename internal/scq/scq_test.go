@@ -219,7 +219,8 @@ func TestRingMPMC(t *testing.T) {
 }
 
 func TestQueueFullEmptyCycles(t *testing.T) {
-	q, _ := NewQueue[int](8, atomicx.NativeFAA)
+	nq, _ := NewQueue[int](8, atomicx.NativeFAA)
+	q := nq.Register()
 	for round := 0; round < 200; round++ {
 		for i := 0; i < 8; i++ {
 			if !q.Enqueue(round*8 + i) {
@@ -255,9 +256,10 @@ func TestQueueMPMCValues(t *testing.T) {
 		wg.Add(1)
 		go func(g int) {
 			defer wg.Done()
+			h := q.Register()
 			for i := 0; i < perProd; i++ {
 				v := uint64(g)<<32 | uint64(i)
-				for !q.Enqueue(v) {
+				for !h.Enqueue(v) {
 				}
 			}
 		}(g)
@@ -266,11 +268,12 @@ func TestQueueMPMCValues(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
+			h := q.Register()
 			for {
 				if done.load() >= producers*perProd {
 					return
 				}
-				if v, ok := q.Dequeue(); ok {
+				if v, ok := h.Dequeue(); ok {
 					out <- v
 					done.add(1)
 				} else {
@@ -299,9 +302,10 @@ func TestQueueMPMCValues(t *testing.T) {
 func TestFootprintConstant(t *testing.T) {
 	q, _ := NewQueue[uint64](64, atomicx.NativeFAA)
 	f0 := q.Footprint()
+	h := q.Register()
 	for i := 0; i < 10000; i++ {
-		q.Enqueue(uint64(i))
-		q.Dequeue()
+		h.Enqueue(uint64(i))
+		h.Dequeue()
 	}
 	if q.Footprint() != f0 {
 		t.Fatalf("footprint changed: %d -> %d", f0, q.Footprint())

@@ -100,13 +100,14 @@ func (o *Options) withDefaults() Options {
 // scalar op, a few percent at 1 vCPU) for a composition that works
 // with every current and future core, and the batch paths amortize
 // the dispatch along with everything else.
+//
+// *Queue is itself a ringcore.Core, so the registry and the public
+// facade consume it exactly like a single ring core.
 type Queue[T any] struct {
-	cores     []ringcore.Core[T]
-	perCap    uint64 // per-shard capacity; 0 with unbounded shards
-	kind      ringcore.Kind
-	unbounded bool
-	met       *metrics.Sink // shared with every shard via Options.Core
-	nextHome  atomic.Int64
+	cores    []ringcore.Core[T]
+	ringCap  uint64        // each shard's ring capacity (bounded) or ring size (unbounded)
+	met      *metrics.Sink // shared with every shard via Options.Core
+	nextHome atomic.Int64
 }
 
 // Handle is a goroutine's capability to use a sharded Queue. Like the
@@ -139,14 +140,14 @@ func New[T any](capacity uint64, maxThreads int, opts *Options) (*Queue[T], erro
 	if o.Shards < 1 {
 		return nil, fmt.Errorf("sharded: shard count must be >= 1, got %d", o.Shards)
 	}
-	q := &Queue[T]{kind: o.Kind, unbounded: o.Unbounded, met: o.Core.Sink()}
+	q := &Queue[T]{ringCap: capacity, met: o.Core.Sink()}
 	if o.Unbounded {
 		for i := 0; i < o.Shards; i++ {
 			u, err := unbounded.New[T](o.Kind, capacity, maxThreads, o.Core)
 			if err != nil {
 				return nil, fmt.Errorf("sharded: shard %d: %w", i, err)
 			}
-			q.cores = append(q.cores, u.Core())
+			q.cores = append(q.cores, u)
 		}
 		return q, nil
 	}
@@ -158,7 +159,7 @@ func New[T any](capacity uint64, maxThreads int, opts *Options) (*Queue[T], erro
 		return nil, fmt.Errorf("sharded: per-shard capacity %d (= %d/%d) must be a power of two >= 2",
 			per, capacity, o.Shards)
 	}
-	q.perCap = per
+	q.ringCap = per
 	for i := 0; i < o.Shards; i++ {
 		core, err := ringcore.New[T](o.Kind, per, maxThreads, o.Core)
 		if err != nil {
@@ -169,9 +170,9 @@ func New[T any](capacity uint64, maxThreads int, opts *Options) (*Queue[T], erro
 	return q, nil
 }
 
-// Register allocates a handle with home-shard affinity assigned
+// Acquire allocates a handle with home-shard affinity assigned
 // round-robin across registrations. Safe to call concurrently.
-func (q *Queue[T]) Register() (*Handle[T], error) {
+func (q *Queue[T]) Acquire() (ringcore.Handle[T], error) {
 	n := q.Shards()
 	home := int((q.nextHome.Add(1) - 1) % int64(n))
 	hs := make([]ringcore.Handle[T], n)
@@ -188,20 +189,39 @@ func (q *Queue[T]) Register() (*Handle[T], error) {
 // Shards returns the shard count.
 func (q *Queue[T]) Shards() int { return len(q.cores) }
 
-// Metrics returns the sink shared by the queue and every shard (nil
-// when metrics are disabled).
-func (q *Queue[T]) Metrics() *metrics.Sink { return q.met }
+// Stats snapshots the composition's metrics sink. The shards record
+// into the same sink (threaded through Options.Core), so this single
+// snapshot covers steal traffic AND every shard's core events.
+func (q *Queue[T]) Stats() metrics.Snapshot { return q.met.Snapshot() }
 
 // Kind returns the ring kind the shards are built from.
-func (q *Queue[T]) Kind() ringcore.Kind { return q.kind }
+func (q *Queue[T]) Kind() ringcore.Kind { return q.cores[0].Kind() }
 
-// Unbounded reports whether the shards are unbounded linked-ring
-// queues.
-func (q *Queue[T]) Unbounded() bool { return q.unbounded }
+// RingCap returns each shard's ring capacity: the per-shard capacity
+// with bounded shards, the linked rings' size with unbounded ones.
+func (q *Queue[T]) RingCap() uint64 { return q.ringCap }
 
 // Cap returns the total capacity (sum over shards), or 0 with
 // unbounded shards.
-func (q *Queue[T]) Cap() uint64 { return q.perCap * uint64(q.Shards()) }
+func (q *Queue[T]) Cap() uint64 {
+	var total uint64
+	for _, c := range q.cores {
+		total += c.Cap()
+	}
+	return total
+}
+
+// Rings returns the live linked rings summed over unbounded shards
+// (0 with bounded shards). Racy by nature; for introspection.
+func (q *Queue[T]) Rings() int {
+	n := 0
+	for _, c := range q.cores {
+		if r, ok := c.(interface{ Rings() int }); ok {
+			n += r.Rings()
+		}
+	}
+	return n
+}
 
 // Footprint returns the bytes the shards retain right now, summed
 // through the ringcore contract: a constant for bounded shards, a
@@ -232,25 +252,6 @@ func (q *Queue[T]) Empty() bool {
 	}
 	return true
 }
-
-// Core exposes the sharded queue itself through the ringcore.Core
-// contract, so the registry's generic adapter (and any further
-// composition) consumes it exactly like a single ring core.
-func (q *Queue[T]) Core() ringcore.Core[T] { return shardedCore[T]{q} }
-
-// shardedCore adapts *Queue to ringcore.Core.
-type shardedCore[T any] struct{ q *Queue[T] }
-
-func (c shardedCore[T]) Acquire() (ringcore.Handle[T], error) { return c.q.Register() }
-func (c shardedCore[T]) Cap() uint64                          { return c.q.Cap() }
-func (c shardedCore[T]) Footprint() uint64                    { return c.q.Footprint() }
-func (c shardedCore[T]) Empty() bool                          { return c.q.Empty() }
-func (c shardedCore[T]) Kind() ringcore.Kind                  { return c.q.kind }
-
-// Stats snapshots the composition's metrics sink. The shards record
-// into the same sink (threaded through Options.Core), so this single
-// snapshot covers steal traffic AND every shard's core events.
-func (c shardedCore[T]) Stats() metrics.Snapshot { return c.q.met.Snapshot() }
 
 // Enqueue appends v to the handle's home shard; false means that shard
 // is full (see the package comment for the capacity relaxation; with

@@ -13,23 +13,17 @@ import (
 // checker (the production adapter lives in internal/queues; this one
 // keeps the package's own tests self-contained).
 type apiQueue struct{ q *sharded.Queue[uint64] }
-type apiHandle struct{ h *sharded.Handle[uint64] }
 
 func (a *apiQueue) Handle() (queueapi.Handle, error) {
-	h, err := a.q.Register()
+	h, err := a.q.Acquire()
 	if err != nil {
 		return nil, err
 	}
-	return &apiHandle{h: h}, nil
+	return h, nil
 }
 func (a *apiQueue) Cap() uint64       { return a.q.Cap() }
 func (a *apiQueue) Footprint() uint64 { return a.q.Footprint() }
 func (a *apiQueue) Name() string      { return "sharded-test" }
-
-func (h *apiHandle) Enqueue(v uint64) bool       { return h.h.Enqueue(v) }
-func (h *apiHandle) Dequeue() (uint64, bool)     { return h.h.Dequeue() }
-func (h *apiHandle) EnqueueBatch(v []uint64) int { return h.h.EnqueueBatch(v) }
-func (h *apiHandle) DequeueBatch(o []uint64) int { return h.h.DequeueBatch(o) }
 
 func mustNew(t *testing.T, capacity uint64, threads int, opts *sharded.Options) *sharded.Queue[uint64] {
 	t.Helper()
@@ -74,8 +68,11 @@ func TestDefaultsAndAccessors(t *testing.T) {
 	if q.Kind() != ringcore.KindWCQ {
 		t.Fatalf("Kind() = %v, want wCQ", q.Kind())
 	}
-	if q.Unbounded() {
-		t.Fatal("default shards reported unbounded")
+	if q.RingCap() != 256/sharded.DefaultShards {
+		t.Fatalf("RingCap() = %d, want the per-shard capacity %d", q.RingCap(), 256/sharded.DefaultShards)
+	}
+	if q.Rings() != 0 {
+		t.Fatalf("Rings() = %d, want 0 with bounded shards", q.Rings())
 	}
 }
 
@@ -83,7 +80,7 @@ func TestPerHandleFIFO(t *testing.T) {
 	// A single handle enqueues to one shard, so its values come back
 	// in strict order no matter how many shards exist.
 	q := mustNew(t, 64, 2, &sharded.Options{Shards: 8})
-	h, err := q.Register()
+	h, err := q.Acquire()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -107,11 +104,11 @@ func TestWorkStealing(t *testing.T) {
 	// Values enqueued via one handle (one home shard) must be visible
 	// to a handle whose home is a different shard.
 	q := mustNew(t, 64, 4, &sharded.Options{Shards: 4})
-	producer, err := q.Register()
+	producer, err := q.Acquire()
 	if err != nil {
 		t.Fatal(err)
 	}
-	thief, err := q.Register()
+	thief, err := q.Acquire()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -131,7 +128,7 @@ func TestNoShardStarvation(t *testing.T) {
 	const shards = 4
 	q := mustNew(t, 64, shards+1, &sharded.Options{Shards: shards})
 	for i := 0; i < shards; i++ {
-		h, err := q.Register()
+		h, err := q.Acquire()
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -139,7 +136,7 @@ func TestNoShardStarvation(t *testing.T) {
 			t.Fatalf("enqueue to shard %d failed", i)
 		}
 	}
-	consumer, err := q.Register()
+	consumer, err := q.Acquire()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -160,7 +157,7 @@ func TestEnqueueBatchPrefixOnFull(t *testing.T) {
 	// A short EnqueueBatch count must be a prefix: the home shard here
 	// holds 4, so a batch of 6 enqueues exactly the first 4.
 	q := mustNew(t, 8, 2, &sharded.Options{Shards: 2})
-	h, err := q.Register()
+	h, err := q.Acquire()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -178,13 +175,13 @@ func TestEnqueueBatchPrefixOnFull(t *testing.T) {
 
 func TestDequeueBatchDrainsAcrossShards(t *testing.T) {
 	q := mustNew(t, 64, 3, &sharded.Options{Shards: 2})
-	h1, _ := q.Register()
-	h2, _ := q.Register()
+	h1, _ := q.Acquire()
+	h2, _ := q.Acquire()
 	for i := uint64(0); i < 5; i++ {
 		h1.Enqueue(i)
 		h2.Enqueue(100 + i)
 	}
-	consumer, err := q.Register()
+	consumer, err := q.Acquire()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -242,8 +239,8 @@ func TestUnboundedShards(t *testing.T) {
 	// capacity is each shard's ring size here; tiny rings force real
 	// turnover inside every shard during the checker run.
 	q := mustNew(t, 16, 16, &sharded.Options{Shards: 4, Unbounded: true})
-	if !q.Unbounded() {
-		t.Fatal("Unbounded() = false")
+	if q.RingCap() != 16 {
+		t.Fatalf("RingCap() = %d, want the ring size 16", q.RingCap())
 	}
 	if q.Cap() != 0 {
 		t.Fatalf("Cap() = %d, want 0 (no global bound)", q.Cap())
@@ -252,7 +249,7 @@ func TestUnboundedShards(t *testing.T) {
 	if rest == 0 {
 		t.Fatal("zero footprint at rest")
 	}
-	h, err := q.Register()
+	h, err := q.Acquire()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -267,6 +264,9 @@ func TestUnboundedShards(t *testing.T) {
 	}
 	if q.Footprint() <= rest {
 		t.Fatal("footprint did not grow across a buffered burst")
+	}
+	if q.Rings() <= q.Shards() {
+		t.Fatalf("Rings() = %d across %d shards after a %d-value burst into 16-slot rings", q.Rings(), q.Shards(), n)
 	}
 	for i := uint64(0); i < n; i++ {
 		v, ok := h.Dequeue()

@@ -132,9 +132,9 @@ func New[T any](kind ringcore.Kind, ringCap uint64, maxThreads int, opts *ringco
 // Call it before the queue is shared between goroutines.
 func (q *Queue[T]) SetPoolCap(n int) { q.pool.max = n }
 
-// Handle returns a per-goroutine view. For census ring kinds it fails
-// once maxThreads handles exist.
-func (q *Queue[T]) Handle() (*Handle[T], error) {
+// Acquire returns a per-goroutine view. For census ring kinds it
+// fails once maxThreads handles exist.
+func (q *Queue[T]) Acquire() (ringcore.Handle[T], error) {
 	if q.maxHandles > 0 && q.handles.Add(1) > int64(q.maxHandles) {
 		q.handles.Add(-1)
 		return nil, fmt.Errorf("unbounded: handle census exhausted (maxThreads %d)", q.maxHandles)
@@ -145,9 +145,13 @@ func (q *Queue[T]) Handle() (*Handle[T], error) {
 // Kind returns the ring kind the queue links.
 func (q *Queue[T]) Kind() ringcore.Kind { return q.kind }
 
-// Metrics returns the sink shared by the queue and its rings (nil when
-// metrics are disabled).
-func (q *Queue[T]) Metrics() *metrics.Sink { return q.met }
+// Stats snapshots the queue's metrics sink: the linked rings record
+// their core events into the same sink (threaded through Options), so
+// one snapshot covers ring turnover AND the per-ring slow paths.
+func (q *Queue[T]) Stats() metrics.Snapshot { return q.met.Snapshot() }
+
+// Cap reports 0: the queue has no capacity bound.
+func (q *Queue[T]) Cap() uint64 { return 0 }
 
 // RingCap returns the capacity of each ring.
 func (q *Queue[T]) RingCap() uint64 { return q.ringCap }
@@ -190,18 +194,19 @@ func (q *Queue[T]) Footprint() uint64 {
 // (neither live, nor pooled, nor in flight between structures during
 // an append or a retire), so a handle registers with any given ring
 // at most once — the invariant that keeps wCQ's per-ring census
-// sufficient.
+// sufficient. A failed registration therefore means that invariant
+// broke, and panics.
 //
 //wfq:allocok per-ring view cache: registers once per ring generation
-func (h *Handle[T]) view(r ringcore.Ring[T]) (ringcore.Handle[T], error) {
+func (h *Handle[T]) view(r ringcore.Ring[T]) ringcore.Handle[T] {
 	h.mu.Lock()
 	defer h.mu.Unlock()
 	if v, ok := h.views[r]; ok {
-		return v, nil
+		return v
 	}
 	v, err := r.Acquire()
 	if err != nil {
-		return nil, err
+		panic("unbounded: ring registration invariant broken: " + err.Error())
 	}
 	h.views[r] = v
 	if len(h.views) > 16 {
@@ -212,7 +217,7 @@ func (h *Handle[T]) view(r ringcore.Ring[T]) (ringcore.Handle[T], error) {
 			}
 		}
 	}
-	return v, nil
+	return v
 }
 
 // reachableRings snapshots every ring that can still recur: live,
@@ -244,24 +249,26 @@ func (q *Queue[T]) reachableRings() map[ringcore.Ring[T]]bool {
 // parked there, freshly allocated otherwise. Either way the ring is
 // registered as in flight until linkRing or returnRing retires the
 // append, so concurrent view pruning cannot orphan census
-// registrations.
+// registrations. The ring parameters were validated when New built
+// the first ring, so a construction failure here is a broken
+// invariant, and panics.
 //
 //wfq:allocok ring turnover: pooled or freshly allocated, once per ringCap values
-func (q *Queue[T]) takeRing() (ringcore.Ring[T], error) {
+func (q *Queue[T]) takeRing() ringcore.Ring[T] {
 	if r, ok := q.pool.get(); ok {
 		r.Reset()
 		q.reused.Add(1)
 		q.met.Inc(metrics.RingPoolHit)
-		return r, nil
+		return r
 	}
 	r, err := q.mk()
 	if err != nil {
-		return nil, err
+		panic("unbounded: ring construction invariant broken: " + err.Error())
 	}
 	q.pool.markInflight(r)
 	q.allocd.Add(1)
 	q.met.Inc(metrics.RingAlloc)
-	return r, nil
+	return r
 }
 
 // linkRing retires a successful append.
@@ -280,15 +287,14 @@ func (q *Queue[T]) returnRing(r ringcore.Ring[T]) {
 	q.met.Inc(metrics.RingRecycle)
 }
 
-// Enqueue appends v. It always succeeds: a sealed or full tail ring is
+// Enqueue appends v and returns true: a sealed or full tail ring is
 // sealed for good and replaced by a fresh one, seeded with v (as
-// Enqueue_Unbounded does in Fig. 13). The returned error is reserved
-// for broken invariants (ring construction or census failures that the
-// constructors rule out); callers that used the constructors can treat
-// it as impossible.
+// Enqueue_Unbounded does in Fig. 13). Broken invariants (ring
+// construction or census failures that New rules out) panic instead
+// of reading as a full queue a caller would retry forever.
 //
 //wfq:noalloc
-func (h *Handle[T]) Enqueue(v T) error {
+func (h *Handle[T]) Enqueue(v T) bool {
 	q := h.q
 	met := q.met // hoisted: loop-invariant (//wfq:stable)
 	for {
@@ -310,33 +316,17 @@ func (h *Handle[T]) Enqueue(v T) error {
 			q.tail.CompareAndSwap(ltail, next)
 			continue
 		}
-		view, err := h.view(ltail.r)
-		if err != nil {
+		if h.view(ltail.r).EnqueueSealed(v) {
 			ltail.pins.Add(-1)
-			return err
-		}
-		if view.EnqueueSealed(v) {
-			ltail.pins.Add(-1)
-			return nil
+			return true
 		}
 		// Full or finalized: seal it and append a fresh ring seeded
 		// with v.
 		ltail.r.Seal()
-		nr, err := q.takeRing()
-		if err != nil {
-			ltail.pins.Add(-1)
-			return err
-		}
-		nv, err := h.view(nr)
-		if err != nil {
-			q.pool.unmarkInflight(nr) // don't leak the taken ring
-			ltail.pins.Add(-1)
-			return err
-		}
+		nr := q.takeRing()
+		nv := h.view(nr)
 		if !nv.EnqueueSealed(v) {
-			q.pool.unmarkInflight(nr)
-			ltail.pins.Add(-1)
-			return fmt.Errorf("unbounded: fresh ring rejected enqueue") //wfq:ignore hotalloc broken-invariant path
+			panic("unbounded: fresh ring rejected enqueue")
 		}
 		nn := &node[T]{r: nr} //wfq:ignore hotalloc growth path: one node per ring turnover
 		if ltail.next.CompareAndSwap(nil, nn) {
@@ -344,7 +334,7 @@ func (h *Handle[T]) Enqueue(v T) error {
 			q.linkRing(nr)
 			met.Inc(metrics.RingSeal)
 			ltail.pins.Add(-1)
-			return nil
+			return true
 		}
 		// Lost the append race: reclaim the seed (the ring was never
 		// linked, so this handle still owns it exclusively) and park
@@ -356,12 +346,11 @@ func (h *Handle[T]) Enqueue(v T) error {
 }
 
 // Dequeue removes the oldest value; ok is false when the whole queue
-// is empty. Errors are reserved for broken invariants, like Enqueue's.
+// is empty.
 //
 //wfq:noalloc
-func (h *Handle[T]) Dequeue() (v T, ok bool, err error) {
+func (h *Handle[T]) Dequeue() (v T, ok bool) {
 	q := h.q
-	var zero T
 	for {
 		lhead := q.head.Load()
 		lhead.pins.Add(1)
@@ -369,19 +358,15 @@ func (h *Handle[T]) Dequeue() (v T, ok bool, err error) {
 			lhead.pins.Add(-1)
 			continue
 		}
-		view, verr := h.view(lhead.r)
-		if verr != nil {
-			lhead.pins.Add(-1)
-			return zero, false, verr
-		}
+		view := h.view(lhead.r)
 		if v, ok := view.Dequeue(); ok {
 			lhead.pins.Add(-1)
-			return v, true, nil
+			return v, true
 		}
 		next := lhead.next.Load()
 		if next == nil {
 			lhead.pins.Add(-1)
-			return zero, false, nil // no successor: genuinely empty
+			return v, false // no successor: genuinely empty
 		}
 		if !lhead.r.Drained() {
 			lhead.pins.Add(-1)
@@ -396,7 +381,7 @@ func (h *Handle[T]) Dequeue() (v T, ok bool, err error) {
 		// a second (census-consuming) registration on reuse.
 		if v, ok := view.Dequeue(); ok {
 			lhead.pins.Add(-1)
-			return v, true, nil
+			return v, true
 		}
 		q.pool.markInflight(lhead.r)
 		advanced := q.head.CompareAndSwap(lhead, next)
@@ -413,11 +398,10 @@ func (h *Handle[T]) Dequeue() (v T, ok bool, err error) {
 // its native batch reservation and rolling over to a fresh ring with
 // the remainder on partial success — so a batch larger than one ring's
 // free space spans rings without losing its internal order. Like
-// Enqueue it always succeeds; the error is reserved for broken
-// invariants.
+// Enqueue it always succeeds, returning len(vs).
 //
 //wfq:noalloc
-func (h *Handle[T]) EnqueueBatch(vs []T) error {
+func (h *Handle[T]) EnqueueBatch(vs []T) int {
 	q := h.q
 	met := q.met // hoisted: loop-invariant (//wfq:stable)
 	sent := 0
@@ -437,37 +421,21 @@ func (h *Handle[T]) EnqueueBatch(vs []T) error {
 			q.tail.CompareAndSwap(ltail, next)
 			continue
 		}
-		view, err := h.view(ltail.r)
-		if err != nil {
-			ltail.pins.Add(-1)
-			return err
-		}
-		if n := view.EnqueueSealedBatch(vs[sent:]); n > 0 {
+		if n := h.view(ltail.r).EnqueueSealedBatch(vs[sent:]); n > 0 {
 			sent += n
 			if sent == len(vs) {
 				ltail.pins.Add(-1)
-				return nil
+				return sent
 			}
 		}
 		// Full or finalized mid-batch: seal it and append a fresh ring
 		// seeded with as much of the remainder as fits.
 		ltail.r.Seal()
-		nr, err := q.takeRing()
-		if err != nil {
-			ltail.pins.Add(-1)
-			return err
-		}
-		nv, err := h.view(nr)
-		if err != nil {
-			q.pool.unmarkInflight(nr) // don't leak the taken ring
-			ltail.pins.Add(-1)
-			return err
-		}
+		nr := q.takeRing()
+		nv := h.view(nr)
 		m := nv.EnqueueSealedBatch(vs[sent:])
 		if m == 0 {
-			q.pool.unmarkInflight(nr)
-			ltail.pins.Add(-1)
-			return fmt.Errorf("unbounded: fresh ring rejected batch enqueue") //wfq:ignore hotalloc broken-invariant path
+			panic("unbounded: fresh ring rejected batch enqueue")
 		}
 		nn := &node[T]{r: nr} //wfq:ignore hotalloc growth path: one node per ring turnover
 		if ltail.next.CompareAndSwap(nil, nn) {
@@ -487,7 +455,7 @@ func (h *Handle[T]) EnqueueBatch(vs []T) error {
 		q.returnRing(nr)
 		ltail.pins.Add(-1)
 	}
-	return nil
+	return sent
 }
 
 // DequeueBatch fills a prefix of out with the oldest values, draining
@@ -499,7 +467,7 @@ func (h *Handle[T]) EnqueueBatch(vs []T) error {
 // still in flight returns the partial prefix instead of spinning.
 //
 //wfq:noalloc
-func (h *Handle[T]) DequeueBatch(out []T) (int, error) {
+func (h *Handle[T]) DequeueBatch(out []T) int {
 	q := h.q
 	filled := 0
 	for filled < len(out) {
@@ -509,11 +477,7 @@ func (h *Handle[T]) DequeueBatch(out []T) (int, error) {
 			lhead.pins.Add(-1)
 			continue
 		}
-		view, verr := h.view(lhead.r)
-		if verr != nil {
-			lhead.pins.Add(-1)
-			return filled, verr
-		}
+		view := h.view(lhead.r)
 		if n := view.DequeueBatch(out[filled:]); n > 0 {
 			filled += n
 			lhead.pins.Add(-1)
@@ -522,12 +486,12 @@ func (h *Handle[T]) DequeueBatch(out []T) (int, error) {
 		next := lhead.next.Load()
 		if next == nil {
 			lhead.pins.Add(-1)
-			return filled, nil // no successor: nothing more buffered
+			return filled // no successor: nothing more buffered
 		}
 		if !lhead.r.Drained() {
 			lhead.pins.Add(-1)
 			if filled > 0 {
-				return filled, nil // partial batch beats spinning on in-flight enqueues
+				return filled // partial batch beats spinning on in-flight enqueues
 			}
 			continue
 		}
@@ -547,7 +511,7 @@ func (h *Handle[T]) DequeueBatch(out []T) (int, error) {
 			q.pool.unmarkInflight(lhead.r)
 		}
 	}
-	return filled, nil
+	return filled
 }
 
 // retire runs on the dequeuer that advanced head past n (which marked
@@ -671,81 +635,15 @@ func (q *Queue[T]) Pooled() int {
 	return len(q.pool.rings)
 }
 
-// Core exposes the unbounded queue through the ringcore.Core contract
-// so compositions consume it exactly like a bounded core: the sharded
-// queue's unbounded shards and the registry's generic adapter both go
-// through this. Cap reports 0 (no bound) and Footprint stays live.
-// The handles it acquires convert this package's invariant errors to
-// panics — the constructors rule them out, and a panic surfaces a
-// broken invariant loudly instead of reading as a full/empty queue
-// callers would spin on forever.
-func (q *Queue[T]) Core() ringcore.Core[T] { return ubCore[T]{q} }
-
-// ubCore adapts *Queue to ringcore.Core.
-type ubCore[T any] struct{ q *Queue[T] }
-
-func (c ubCore[T]) Acquire() (ringcore.Handle[T], error) {
-	h, err := c.q.Handle()
-	if err != nil {
-		return nil, err
-	}
-	return ubHandle[T]{h}, nil
-}
-func (c ubCore[T]) Cap() uint64         { return 0 }
-func (c ubCore[T]) Footprint() uint64   { return c.q.Footprint() }
-func (c ubCore[T]) Empty() bool         { return c.q.Empty() }
-func (c ubCore[T]) Kind() ringcore.Kind { return c.q.kind }
-
-// Stats snapshots the queue's metrics sink: the linked rings record
-// their core events into the same sink (threaded through Options), so
-// one snapshot covers ring turnover AND the per-ring slow paths.
-func (c ubCore[T]) Stats() metrics.Snapshot { return c.q.met.Snapshot() }
-
-// Rings forwards the live ring count for gauge exporters that reach
-// the composition through ringcore.Core.
-func (c ubCore[T]) Rings() int { return c.q.Rings() }
-
-// ubHandle adapts *Handle to ringcore.Handle: enqueues always succeed
-// (the queue grows), the sealed variants are plain enqueues (an
-// unbounded composite is never sealed), and invariant errors panic.
-type ubHandle[T any] struct{ h *Handle[T] }
-
+// EnqueueSealed is Enqueue: an unbounded queue is never sealed (its
+// rings are, below this layer). It exists so *Handle satisfies
+// ringcore.Handle.
+//
 //wfq:noalloc
-func (h ubHandle[T]) Enqueue(v T) bool {
-	if err := h.h.Enqueue(v); err != nil {
-		panic("unbounded: enqueue invariant broken: " + err.Error())
-	}
-	return true
-}
+func (h *Handle[T]) EnqueueSealed(v T) bool { return h.Enqueue(v) }
 
+// EnqueueSealedBatch is EnqueueBatch, for the same reason as
+// EnqueueSealed.
+//
 //wfq:noalloc
-func (h ubHandle[T]) Dequeue() (T, bool) {
-	v, ok, err := h.h.Dequeue()
-	if err != nil {
-		panic("unbounded: dequeue invariant broken: " + err.Error())
-	}
-	return v, ok
-}
-
-//wfq:noalloc
-func (h ubHandle[T]) EnqueueBatch(vs []T) int {
-	if err := h.h.EnqueueBatch(vs); err != nil {
-		panic("unbounded: batch enqueue invariant broken: " + err.Error())
-	}
-	return len(vs)
-}
-
-//wfq:noalloc
-func (h ubHandle[T]) DequeueBatch(out []T) int {
-	n, err := h.h.DequeueBatch(out)
-	if err != nil {
-		panic("unbounded: batch dequeue invariant broken: " + err.Error())
-	}
-	return n
-}
-
-//wfq:noalloc
-func (h ubHandle[T]) EnqueueSealed(v T) bool { return h.Enqueue(v) }
-
-//wfq:noalloc
-func (h ubHandle[T]) EnqueueSealedBatch(vs []T) int { return h.EnqueueBatch(vs) }
+func (h *Handle[T]) EnqueueSealedBatch(vs []T) int { return h.EnqueueBatch(vs) }

@@ -36,29 +36,26 @@ func TestUnboundedSequentialGrowth(t *testing.T) {
 		t.Run(name, func(t *testing.T) {
 			q := mk(t, 8)   // tiny rings force frequent ring turnover
 			q.SetPoolCap(0) // no recycling: every turnover allocates
-			h, err := q.Handle()
+			h, err := q.Acquire()
 			if err != nil {
 				t.Fatal(err)
 			}
 			const n = 1000
 			for i := uint64(0); i < n; i++ {
-				if err := h.Enqueue(i); err != nil {
-					t.Fatal(err)
+				if !h.Enqueue(i) {
+					t.Fatal("unbounded enqueue reported full")
 				}
 			}
 			if q.RingsAllocated() < int64(n/8) {
 				t.Fatalf("only %d rings for %d values in cap-8 rings", q.RingsAllocated(), n)
 			}
 			for i := uint64(0); i < n; i++ {
-				v, ok, err := h.Dequeue()
-				if err != nil {
-					t.Fatal(err)
-				}
+				v, ok := h.Dequeue()
 				if !ok || v != i {
 					t.Fatalf("got (%d,%v), want (%d,true)", v, ok, i)
 				}
 			}
-			if _, ok, _ := h.Dequeue(); ok {
+			if _, ok := h.Dequeue(); ok {
 				t.Fatal("phantom value after drain")
 			}
 		})
@@ -70,20 +67,17 @@ func TestUnboundedInterleavedSmallRings(t *testing.T) {
 		name, mk := name, mk
 		t.Run(name, func(t *testing.T) {
 			q := mk(t, 4)
-			h, _ := q.Handle()
+			h, _ := q.Acquire()
 			next, exp := uint64(0), uint64(0)
 			for round := 0; round < 500; round++ {
 				for k := 0; k < 7; k++ { // deliberately > ring cap
-					if err := h.Enqueue(next); err != nil {
-						t.Fatal(err)
+					if !h.Enqueue(next) {
+						t.Fatal("unbounded enqueue reported full")
 					}
 					next++
 				}
 				for k := 0; k < 7; k++ {
-					v, ok, err := h.Dequeue()
-					if err != nil {
-						t.Fatal(err)
-					}
+					v, ok := h.Dequeue()
 					if !ok || v != exp {
 						t.Fatalf("round %d: got (%d,%v), want %d", round, v, ok, exp)
 					}
@@ -109,35 +103,31 @@ func TestUnboundedMPMC(t *testing.T) {
 			seen := make([]atomic.Int32, total)
 			var wg sync.WaitGroup
 			for p := 0; p < producers; p++ {
-				h, err := q.Handle()
+				h, err := q.Acquire()
 				if err != nil {
 					t.Fatal(err)
 				}
 				wg.Add(1)
-				go func(p int, h *Handle[uint64]) {
+				go func(p int, h ringcore.Handle[uint64]) {
 					defer wg.Done()
 					for i := 0; i < per; i++ {
-						if err := h.Enqueue(uint64(p*per + i)); err != nil {
-							t.Error(err)
+						if !h.Enqueue(uint64(p*per + i)) {
+							t.Error("unbounded enqueue reported full")
 							return
 						}
 					}
 				}(p, h)
 			}
 			for c := 0; c < consumers; c++ {
-				h, err := q.Handle()
+				h, err := q.Acquire()
 				if err != nil {
 					t.Fatal(err)
 				}
 				wg.Add(1)
-				go func(h *Handle[uint64]) {
+				go func(h ringcore.Handle[uint64]) {
 					defer wg.Done()
 					for got.Load() < int64(total) {
-						v, ok, err := h.Dequeue()
-						if err != nil {
-							t.Error(err)
-							return
-						}
+						v, ok := h.Dequeue()
 						if !ok {
 							runtime.Gosched()
 							continue
@@ -162,7 +152,7 @@ func TestUnboundedFootprintGrowsWhileBuffered(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	h, _ := q.Handle()
+	h, _ := q.Acquire()
 	f0 := q.Footprint()
 	for i := uint64(0); i < 200; i++ {
 		h.Enqueue(i) // never dequeue: rings accumulate
@@ -183,23 +173,20 @@ func TestUnboundedPoolRecyclesRings(t *testing.T) {
 		name, mk := name, mk
 		t.Run(name, func(t *testing.T) {
 			q := mk(t, 8)
-			h, err := q.Handle()
+			h, err := q.Acquire()
 			if err != nil {
 				t.Fatal(err)
 			}
 			next, exp := uint64(0), uint64(0)
 			for round := 0; round < 50; round++ {
 				for k := 0; k < 24; k++ { // 3 ring turnovers per round
-					if err := h.Enqueue(next); err != nil {
-						t.Fatal(err)
+					if !h.Enqueue(next) {
+						t.Fatal("unbounded enqueue reported full")
 					}
 					next++
 				}
 				for k := 0; k < 24; k++ {
-					v, ok, err := h.Dequeue()
-					if err != nil {
-						t.Fatal(err)
-					}
+					v, ok := h.Dequeue()
 					if !ok || v != exp {
 						t.Fatalf("round %d: got (%d,%v), want %d", round, v, ok, exp)
 					}
@@ -227,14 +214,14 @@ func TestUnboundedFootprintBoundedAfterDrain(t *testing.T) {
 		name, mk := name, mk
 		t.Run(name, func(t *testing.T) {
 			q := mk(t, 8)
-			h, err := q.Handle()
+			h, err := q.Acquire()
 			if err != nil {
 				t.Fatal(err)
 			}
 			perRing := q.Footprint() // exactly one live ring at rest
 			for i := uint64(0); i < 2000; i++ {
-				if err := h.Enqueue(i); err != nil {
-					t.Fatal(err)
+				if !h.Enqueue(i) {
+					t.Fatal("unbounded enqueue reported full")
 				}
 			}
 			peak := q.Footprint()
@@ -242,8 +229,8 @@ func TestUnboundedFootprintBoundedAfterDrain(t *testing.T) {
 				t.Fatalf("peak %d B did not reflect the burst (ring %d B)", peak, perRing)
 			}
 			for i := uint64(0); i < 2000; i++ {
-				if _, ok, err := h.Dequeue(); !ok || err != nil {
-					t.Fatalf("drain at %d: ok=%v err=%v", i, ok, err)
+				if _, ok := h.Dequeue(); !ok {
+					t.Fatalf("drain at %d: empty", i)
 				}
 			}
 			if got, limit := q.Footprint(), uint64(DefaultPoolRings+1)*perRing; got > limit {
@@ -261,18 +248,14 @@ func TestUnboundedPerProducerFIFOAcrossRings(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	hp, _ := q.Handle()
-	hc, _ := q.Handle()
+	hp, _ := q.Acquire()
+	hc, _ := q.Acquire()
 	const n = 5000
 	done := make(chan error, 1)
 	go func() {
 		next := uint64(0)
 		for next < n {
-			v, ok, err := hc.Dequeue()
-			if err != nil {
-				done <- err
-				return
-			}
+			v, ok := hc.Dequeue()
 			if !ok {
 				runtime.Gosched()
 				continue
@@ -286,8 +269,8 @@ func TestUnboundedPerProducerFIFOAcrossRings(t *testing.T) {
 		done <- nil
 	}()
 	for i := uint64(0); i < n; i++ {
-		if err := hp.Enqueue(i); err != nil {
-			t.Fatal(err)
+		if !hp.Enqueue(i) {
+			t.Fatal("unbounded enqueue reported full")
 		}
 	}
 	if err := <-done; err != nil {
@@ -300,13 +283,13 @@ func TestUWCQHandleCensus(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := q.Handle(); err != nil {
+	if _, err := q.Acquire(); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := q.Handle(); err != nil {
+	if _, err := q.Acquire(); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := q.Handle(); err == nil {
+	if _, err := q.Acquire(); err == nil {
 		t.Fatal("third handle accepted with maxThreads 2")
 	}
 }
@@ -323,7 +306,7 @@ func TestKindAccessorsAndCore(t *testing.T) {
 	if q.Kind() != ringcore.KindSCQ {
 		t.Fatalf("Kind() = %v", q.Kind())
 	}
-	core := q.Core()
+	var core ringcore.Core[uint64] = q // *Queue is a Core itself
 	if core.Cap() != 0 || core.Kind() != ringcore.KindSCQ {
 		t.Fatalf("core: cap=%d kind=%v", core.Cap(), core.Kind())
 	}
@@ -331,7 +314,7 @@ func TestKindAccessorsAndCore(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Through the Core adapter: never full, sealed ops are plain
+	// Through the Core contract: never full, sealed ops are plain
 	// enqueues, batches always absorbed.
 	if !h.Enqueue(1) || !h.EnqueueSealed(2) {
 		t.Fatal("unbounded core reported full")

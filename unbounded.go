@@ -5,7 +5,6 @@ import (
 
 	"repro/internal/ring"
 	"repro/internal/ringcore"
-	"repro/internal/unbounded"
 )
 
 // DefaultRingCapacity is the per-ring capacity NewUnbounded uses when
@@ -71,13 +70,13 @@ func WithRingCapacity(n uint64) Option {
 	return func(o *options) { o.ringCap = n }
 }
 
-// UnboundedQueue is an MPMC FIFO with no capacity bound, built by
-// linking bounded rings (the paper's Appendix A construction):
-// Enqueue never reports full — a full ring is sealed and a fresh ring
-// is appended. Memory therefore grows with the number of buffered
-// values (in ring-sized steps, see Footprint) and shrinks back as
-// bursts drain; a bounded free-list recycles drained rings so
-// steady-state churn does not allocate.
+// UnboundedQueue is the Queue NewUnbounded returns: an MPMC FIFO
+// with no capacity bound, built by linking bounded rings (the paper's
+// Appendix A construction). Enqueue never reports full — a full ring
+// is sealed and a fresh ring is appended. Memory therefore grows with
+// the number of buffered values (in ring-sized steps, see Footprint)
+// and shrinks back as bursts drain; a bounded free-list recycles
+// drained rings so steady-state churn does not allocate.
 //
 // Progress: within a ring, operations keep the ring kind's guarantee
 // (wait-free for RingWCQ, lock-free for RingSCQ), and the outer list
@@ -86,117 +85,27 @@ func WithRingCapacity(n uint64) Option {
 // lock-free at ring boundaries. Turnover is rare (once per RingCap
 // values), which is why throughput tracks the rings, as the paper
 // observes.
-type UnboundedQueue[T any] struct {
-	q *unbounded.Queue[T]
-}
+type UnboundedQueue[T any] = Queue[T]
 
 // UnboundedHandle is a goroutine's capability to use an
-// UnboundedQueue. Not safe for concurrent use by multiple goroutines.
-// Within a ring, operations keep the ring kind's own guarantee; at
-// ring boundaries they may retry and briefly take the pool mutex (see
-// UnboundedQueue).
-type UnboundedHandle[T any] struct {
-	h *unbounded.Handle[T]
-}
+// UnboundedQueue. Its Enqueue always returns true and EnqueueBatch
+// always takes the whole batch: the queue grows instead of reporting
+// full.
+type UnboundedHandle[T any] = Handle[T]
 
 // NewUnbounded returns an empty unbounded queue operated by at most
 // maxThreads concurrent handles (the bound applies to RingWCQ, whose
 // rings carry a thread census; RingSCQ accepts any number of
 // handles). Configure with WithRingKind and WithRingCapacity.
 func NewUnbounded[T any](maxThreads int, opts ...Option) (*UnboundedQueue[T], error) {
-	return newUnbounded[T](maxThreads, buildOpts(opts))
-}
-
-// newUnbounded is NewUnbounded over already-parsed options, so NewChan
-// can set the ring size without re-running the caller's Option list.
-func newUnbounded[T any](maxThreads int, o options) (*UnboundedQueue[T], error) {
-	if maxThreads < 1 {
-		return nil, fmt.Errorf("wfqueue: maxThreads must be >= 1, got %d", maxThreads)
-	}
+	o := buildOpts(opts)
 	ringCap := o.ringCap
 	if ringCap == 0 {
 		ringCap = DefaultRingCapacity
 	}
-	if ringCap < 2 || !ring.IsPow2(ringCap) {
+	if maxThreads >= 1 && (ringCap < 2 || !ring.IsPow2(ringCap)) {
+		// Phrased against WithRingCapacity, the option that set it.
 		return nil, fmt.Errorf("wfqueue: ring capacity must be a power of two >= 2, got %d", ringCap)
 	}
-	kind, err := o.ringKind.kind()
-	if err != nil {
-		return nil, err
-	}
-	q, err := unbounded.New[T](kind, ringCap, maxThreads, o.core())
-	if err != nil {
-		return nil, err
-	}
-	return &UnboundedQueue[T]{q: q}, nil
-}
-
-// Handle registers the calling goroutine and returns its handle. With
-// RingWCQ it fails once maxThreads handles exist.
-func (q *UnboundedQueue[T]) Handle() (*UnboundedHandle[T], error) {
-	h, err := q.q.Handle()
-	if err != nil {
-		return nil, err
-	}
-	return &UnboundedHandle[T]{h: h}, nil
-}
-
-// RingCap returns the capacity of each linked ring.
-func (q *UnboundedQueue[T]) RingCap() uint64 { return q.q.RingCap() }
-
-// Rings returns the number of live rings currently linked (at least
-// one). Racy by nature; for introspection and capacity planning.
-func (q *UnboundedQueue[T]) Rings() int { return q.q.Rings() }
-
-// Footprint returns the bytes retained right now: the live rings plus
-// the bounded recycling pool. Unlike the bounded queues' constant
-// footprint, this grows in ring-sized steps while values are buffered
-// and shrinks back to at most (1 + pool) rings after a drain.
-func (q *UnboundedQueue[T]) Footprint() uint64 { return q.q.Footprint() }
-
-// Stats snapshots the metrics sink shared by the queue and its linked
-// rings. The zero snapshot is returned when the queue was built
-// without WithMetrics.
-func (q *UnboundedQueue[T]) Stats() MetricsSnapshot { return q.q.Metrics().Snapshot() }
-
-// Enqueue appends v. It always succeeds — the queue grows instead of
-// reporting full. An UnboundedQueue built by NewUnbounded cannot fail
-// here; the implementation panics if an internal invariant (ring
-// construction or census accounting) is ever broken.
-func (h *UnboundedHandle[T]) Enqueue(v T) {
-	if err := h.h.Enqueue(v); err != nil {
-		panic("wfqueue: unbounded enqueue invariant broken: " + err.Error())
-	}
-}
-
-// Dequeue removes and returns the oldest value; ok is false when the
-// queue is empty.
-func (h *UnboundedHandle[T]) Dequeue() (v T, ok bool) {
-	v, ok, err := h.h.Dequeue()
-	if err != nil {
-		panic("wfqueue: unbounded dequeue invariant broken: " + err.Error())
-	}
-	return v, ok
-}
-
-// EnqueueBatch appends vs in order. It always enqueues the whole
-// batch — the current ring absorbs what fits in one reservation and
-// the remainder rolls over to fresh rings — and returns len(vs) for
-// symmetry with the bounded queues' batch contract.
-func (h *UnboundedHandle[T]) EnqueueBatch(vs []T) int {
-	if err := h.h.EnqueueBatch(vs); err != nil {
-		panic("wfqueue: unbounded batch enqueue invariant broken: " + err.Error())
-	}
-	return len(vs)
-}
-
-// DequeueBatch fills a prefix of out with the oldest values, draining
-// across ring boundaries in FIFO order, and returns its length; 0
-// means the queue appeared empty.
-func (h *UnboundedHandle[T]) DequeueBatch(out []T) int {
-	n, err := h.h.DequeueBatch(out)
-	if err != nil {
-		panic("wfqueue: unbounded batch dequeue invariant broken: " + err.Error())
-	}
-	return n
+	return newQueue(newCore[T](BackendUnbounded, ringCap, maxThreads, o))
 }

@@ -23,20 +23,24 @@
 //
 // # Variants
 //
-// NewLockFree builds the SCQ variant: same ring, same performance
-// envelope, no helping (lock-free progress only, no handle census).
-// NewRing / NewLockFreeRing expose the underlying index rings for
-// allocator-style use (DPDK/SPDK-like index pools, Figure 2 of the
-// paper). NewSharded composes several ring cores behind one interface
-// — per-handle enqueue affinity, work-stealing dequeue and native
-// batch operations — for workloads that saturate a single ring's
-// head/tail word; WithRingKind picks the core and WithUnboundedShards
-// swaps the bounded rings for unbounded linked-ring shards.
-// NewUnbounded links bounded rings into a queue with
-// no capacity limit (the paper's Appendix A): Enqueue never reports
-// full, memory grows and shrinks in ring-sized steps, and drained
-// rings are recycled through a bounded pool. NewChan layers blocking
-// Send/Recv/Close semantics over any of the cores.
+// Every variant is the same Queue and Handle over a different core;
+// ShardedQueue, UnboundedQueue and the matching handle names are
+// aliases, and one internal switch turns the options into the core.
+// New builds the wait-free wCQ core. NewLockFree builds the SCQ
+// variant: same ring, same performance envelope, no helping
+// (lock-free progress only, no handle census), plus handle-free
+// Enqueue/Dequeue. NewSharded composes several ring cores — per-handle
+// enqueue affinity, work-stealing dequeue and native batch operations
+// — for workloads that saturate a single ring's head/tail word;
+// WithRingKind picks the core and WithUnboundedShards swaps the
+// bounded rings for unbounded linked-ring shards. NewUnbounded links
+// bounded rings into a queue with no capacity limit (the paper's
+// Appendix A): Enqueue never reports full, Cap reports 0, memory grows
+// and shrinks in ring-sized steps, and drained rings are recycled
+// through a bounded pool. NewChan layers blocking Send/Recv/Close
+// semantics over any of the cores. NewRing exposes the underlying
+// index ring for allocator-style use (DPDK/SPDK-like index pools,
+// Figure 2 of the paper).
 //
 // See ARCHITECTURE.md for the layer map and the progress/memory
 // table of every variant.
@@ -49,8 +53,8 @@ import (
 	"repro/internal/backoff"
 	"repro/internal/metrics"
 	"repro/internal/ringcore"
-	"repro/internal/scq"
 	"repro/internal/sharded"
+	"repro/internal/unbounded"
 	"repro/internal/wcq"
 )
 
@@ -203,83 +207,210 @@ func buildOpts(opts []Option) options {
 	return o
 }
 
-// wcq translates the accumulated options for the constructors that
-// talk to internal/wcq directly, through ringcore's single
-// Options-to-wcq mapping (so the two structs cannot drift).
+// wcq translates the accumulated options for the index-ring
+// constructors, through ringcore's single Options-to-wcq mapping (so
+// the two structs cannot drift).
 func (o options) wcq() *wcq.Options { return o.core().WCQ() }
 
-// Queue is a bounded wait-free MPMC FIFO of values of type T.
+// newCore is the one place options turn into a queue core: every
+// constructor (New, NewLockFree, NewSharded, NewUnbounded, NewChan)
+// names its Backend and lets this switch build it. capacity is the
+// ring capacity for the bounded backends, the total capacity for
+// BackendSharded, and each linked ring's size for the unbounded ones.
+func newCore[T any](b Backend, capacity uint64, maxThreads int, o options) (ringcore.Core[T], error) {
+	switch b {
+	case BackendWCQ, BackendSCQ:
+		kind, census := ringcore.KindWCQ, maxThreads
+		if b == BackendSCQ {
+			kind, census = ringcore.KindSCQ, 1 // no census: maxThreads is ignored
+		}
+		if err := validate(capacity, census); err != nil {
+			return nil, err
+		}
+		return ringcore.New[T](kind, capacity, maxThreads, o.core())
+	case BackendSharded, BackendShardedUnbounded:
+		unboundedShards := b == BackendShardedUnbounded
+		switch {
+		case unboundedShards:
+			// capacity is each shard's ring size: a power of two.
+			if err := validate(capacity, maxThreads); err != nil {
+				return nil, err
+			}
+		case o.unboundedShards:
+			// WithUnboundedShards would silently turn this bounded
+			// backend unbounded (Cap 0, no Send backpressure); the
+			// unbounded-sharded Chan is its own backend.
+			return nil, fmt.Errorf("wfqueue: WithUnboundedShards conflicts with BackendSharded; use BackendShardedUnbounded")
+		case maxThreads < 1:
+			// The total capacity need not be a power of two — only the
+			// per-shard quotient must be, which sharded.New validates.
+			return nil, fmt.Errorf("wfqueue: maxThreads must be >= 1, got %d", maxThreads)
+		}
+		kind, err := o.ringKind.kind()
+		if err != nil {
+			return nil, err
+		}
+		q, err := sharded.New[T](capacity, maxThreads, &sharded.Options{
+			Shards:    o.shards,
+			Kind:      kind,
+			Unbounded: unboundedShards,
+			Core:      o.core(),
+		})
+		if err != nil {
+			return nil, err
+		}
+		return q, nil
+	case BackendUnbounded:
+		// capacity is the linked rings' size. It is validated, never
+		// defaulted: only NewUnbounded's WithRingCapacity has a default.
+		if err := validate(capacity, maxThreads); err != nil {
+			return nil, err
+		}
+		kind, err := o.ringKind.kind()
+		if err != nil {
+			return nil, err
+		}
+		q, err := unbounded.New[T](kind, capacity, maxThreads, o.core())
+		if err != nil {
+			return nil, err
+		}
+		return q, nil
+	}
+	return nil, fmt.Errorf("wfqueue: unknown chan backend %d", b)
+}
+
+// newQueue wraps a freshly built core in the public Queue.
+func newQueue[T any](core ringcore.Core[T], err error) (*Queue[T], error) {
+	if err != nil {
+		return nil, err
+	}
+	return &Queue[T]{core: core}, nil
+}
+
+// Queue is an MPMC FIFO of values of type T over one queue core: the
+// bounded wait-free wCQ (New), the lock-free SCQ (NewLockFree), the
+// sharded composition (NewSharded) or the unbounded linked rings
+// (NewUnbounded). The variants differ in progress guarantee and
+// bound, not in surface; ShardedQueue and UnboundedQueue are aliases
+// of this type.
 type Queue[T any] struct {
-	q *wcq.Queue[T]
+	core ringcore.Core[T]
 }
 
 // Handle is a goroutine's capability to use a Queue. Not safe for
-// concurrent use by multiple goroutines; operations are wait-free
-// (bounded steps regardless of other goroutines).
+// concurrent use by multiple goroutines. On the wCQ core every
+// operation completes in a bounded number of steps regardless of
+// other goroutines; the other cores keep their own guarantee (see
+// each constructor). ShardedHandle, UnboundedHandle and LockFreeHandle
+// are aliases of this type.
 type Handle[T any] struct {
-	h *wcq.QueueHandle[T]
+	h ringcore.Handle[T]
 }
+
+// ShardedQueue is the Queue NewSharded returns.
+type ShardedQueue[T any] = Queue[T]
+
+// ShardedHandle is a goroutine's capability to use a ShardedQueue.
+type ShardedHandle[T any] = Handle[T]
+
+// LockFreeHandle is a goroutine's capability to use a LockFreeQueue,
+// carrying the per-handle scratch the native batch reservation uses.
+type LockFreeHandle[T any] = Handle[T]
 
 // New returns an empty wait-free queue holding up to capacity values
 // (a power of two >= 2), operated by at most maxThreads concurrent
 // handles.
 func New[T any](capacity uint64, maxThreads int, opts ...Option) (*Queue[T], error) {
-	if err := validate(capacity, maxThreads); err != nil {
-		return nil, err
-	}
-	o := buildOpts(opts)
-	q, err := wcq.NewQueue[T](capacity, maxThreads, o.wcq())
-	if err != nil {
-		return nil, err
-	}
-	return &Queue[T]{q: q}, nil
+	return newQueue(newCore[T](BackendWCQ, capacity, maxThreads, buildOpts(opts)))
 }
 
-// Handle registers the calling goroutine and returns its handle. It
-// fails once maxThreads handles exist.
+// Handle registers the calling goroutine and returns its handle. On
+// census cores (wCQ rings) it fails once maxThreads handles exist;
+// SCQ-only queues accept any number of handles.
 func (q *Queue[T]) Handle() (*Handle[T], error) {
-	h, err := q.q.Register()
+	h, err := q.core.Acquire()
 	if err != nil {
 		return nil, err
 	}
 	return &Handle[T]{h: h}, nil
 }
 
-// Cap returns the queue capacity.
-func (q *Queue[T]) Cap() uint64 { return q.q.Cap() }
+// Cap returns the queue capacity (summed over shards), or 0 when the
+// queue is unbounded (NewUnbounded, or NewSharded with
+// WithUnboundedShards).
+func (q *Queue[T]) Cap() uint64 { return q.core.Cap() }
 
-// Footprint returns the bytes allocated at construction; the queue
-// never allocates afterwards.
-func (q *Queue[T]) Footprint() uint64 { return q.q.Footprint() }
+// Footprint returns the bytes the queue retains right now. Bounded
+// queues report their construction-time allocation and never
+// allocate afterwards; unbounded ones report the live rings plus the
+// bounded recycling pool, which grows in ring-sized steps while
+// values are buffered and shrinks back after a drain.
+func (q *Queue[T]) Footprint() uint64 { return q.core.Footprint() }
 
-// Stats snapshots the queue's metrics sink. The zero snapshot is
-// returned when the queue was built without WithMetrics.
-func (q *Queue[T]) Stats() MetricsSnapshot { return q.q.Metrics().Snapshot() }
+// Stats snapshots the metrics sink shared by every layer of the
+// queue. The zero snapshot is returned when the queue was built
+// without WithMetrics.
+func (q *Queue[T]) Stats() MetricsSnapshot { return q.core.Stats() }
 
-// Enqueue appends v; it returns false when the queue is full. The
-// operation completes in a bounded number of steps.
+// Shards returns the shard count: WithShards for NewSharded, 1 for
+// every other queue.
+func (q *Queue[T]) Shards() int {
+	if s, ok := q.core.(interface{ Shards() int }); ok {
+		return s.Shards()
+	}
+	return 1
+}
+
+// RingCap returns the capacity of each bounded ring the queue is
+// built from: Cap() for a single ring, Cap()/Shards() for bounded
+// shards, and the linked rings' size for unbounded queues.
+func (q *Queue[T]) RingCap() uint64 {
+	if r, ok := q.core.(interface{ RingCap() uint64 }); ok {
+		return r.RingCap()
+	}
+	return q.core.Cap()
+}
+
+// Rings returns the number of live linked rings of an unbounded queue
+// (summed over shards; at least one per shard), or 0 for a bounded
+// queue. Racy by nature; for introspection and capacity planning.
+func (q *Queue[T]) Rings() int { return rings(q.core) }
+
+// rings reads the live linked-ring population of an unbounded core,
+// 0 for cores that do not link rings.
+func rings[T any](c ringcore.Core[T]) int {
+	if r, ok := c.(interface{ Rings() int }); ok {
+		return r.Rings()
+	}
+	return 0
+}
+
+// Enqueue appends v; it returns false when the queue is full (for a
+// sharded queue: the handle's home shard). Unbounded queues never
+// report full.
 //
 //wfq:noalloc
 func (h *Handle[T]) Enqueue(v T) bool { return h.h.Enqueue(v) }
 
 // Dequeue removes and returns the oldest value; ok is false when the
-// queue is empty. The operation completes in a bounded number of
-// steps.
+// queue is empty (for a sharded queue: after every shard looked empty
+// in one scan).
 //
 //wfq:noalloc
 func (h *Handle[T]) Dequeue() (v T, ok bool) { return h.h.Dequeue() }
 
 // EnqueueBatch appends a prefix of vs in order and returns its length
-// (a short count means the queue filled up mid-batch). The fast path
-// reserves the whole batch with one fetch-and-add per underlying ring
-// instead of one per element; the operation stays wait-free.
+// (a short count means the queue filled up mid-batch; an unbounded
+// queue always takes the whole batch). The fast path reserves the
+// whole batch with one fetch-and-add per underlying ring instead of
+// one per element, and allocates nothing in the steady state.
 //
 //wfq:noalloc
 func (h *Handle[T]) EnqueueBatch(vs []T) int { return h.h.EnqueueBatch(vs) }
 
 // DequeueBatch fills a prefix of out with the oldest values and
 // returns its length; 0 means the queue appeared empty. One
-// reservation fetch-and-add per ring on the fast path; wait-free.
+// reservation fetch-and-add per ring on the fast path.
 //
 //wfq:noalloc
 func (h *Handle[T]) DequeueBatch(out []T) int { return h.h.DequeueBatch(out) }
@@ -347,107 +478,41 @@ func (h *RingHandle) Dequeue() (index uint64, ok bool) { return h.h.Dequeue() }
 
 // LockFreeQueue is the SCQ variant: identical structure, lock-free
 // (not wait-free) progress, no handle census — any goroutine may call
-// it directly.
+// Enqueue and Dequeue on the queue directly, and Handle never fails.
+// Handles are still needed for the batch operations, whose scratch
+// buffer is what makes them allocation-free.
 type LockFreeQueue[T any] struct {
-	q *scq.Queue[T]
+	*Queue[T]
+	// shared serves the handle-free Enqueue/Dequeue. Sharing one
+	// handle between goroutines is safe here only: SCQ needs no
+	// registration, and the payload layer's scalar path keeps no
+	// per-handle state (the batch scratch is never touched by it).
+	shared *Handle[T]
 }
 
 // NewLockFree returns an empty lock-free (SCQ) queue.
 func NewLockFree[T any](capacity uint64, opts ...Option) (*LockFreeQueue[T], error) {
-	if err := validate(capacity, 1); err != nil {
-		return nil, err
-	}
-	o := buildOpts(opts)
-	q, err := scq.NewQueue[T](capacity, o.mode)
+	q, err := newQueue(newCore[T](BackendSCQ, capacity, 1, buildOpts(opts)))
 	if err != nil {
 		return nil, err
 	}
-	q.SetMetrics(o.metrics)
-	return &LockFreeQueue[T]{q: q}, nil
+	shared, err := q.Handle()
+	if err != nil {
+		return nil, err
+	}
+	return &LockFreeQueue[T]{Queue: q, shared: shared}, nil
 }
 
 // Enqueue appends v; false when full. Safe for any goroutine.
 //
 //wfq:noalloc
-func (q *LockFreeQueue[T]) Enqueue(v T) bool { return q.q.Enqueue(v) }
+func (q *LockFreeQueue[T]) Enqueue(v T) bool { return q.shared.Enqueue(v) }
 
-// Dequeue removes the oldest value; ok is false when empty.
+// Dequeue removes the oldest value; ok is false when empty. Safe for
+// any goroutine.
 //
 //wfq:noalloc
-func (q *LockFreeQueue[T]) Dequeue() (T, bool) { return q.q.Dequeue() }
-
-// Handle returns a per-goroutine view carrying the zero-allocation
-// batch scratch. SCQ has no thread census, so Handle never fails and
-// any number may be created; like every other handle in this package
-// it must not be shared between goroutines. Scalar operations work
-// both on the queue directly and on a handle — only the batch
-// operations need one (their scratch buffer is what makes them
-// allocation-free, and a shared buffer could not be).
-func (q *LockFreeQueue[T]) Handle() (*LockFreeHandle[T], error) {
-	return &LockFreeHandle[T]{h: q.q.Register()}, nil
-}
-
-// Cap returns the queue capacity.
-func (q *LockFreeQueue[T]) Cap() uint64 { return q.q.Cap() }
-
-// Footprint returns the bytes allocated at construction; the queue
-// never allocates afterwards.
-func (q *LockFreeQueue[T]) Footprint() uint64 { return q.q.Footprint() }
-
-// Stats snapshots the queue's metrics sink. The zero snapshot is
-// returned when the queue was built without WithMetrics.
-func (q *LockFreeQueue[T]) Stats() MetricsSnapshot { return q.q.Metrics().Snapshot() }
-
-// LockFreeHandle is a goroutine's capability to use a LockFreeQueue,
-// carrying the per-handle scratch the native batch reservation uses.
-// Not safe for concurrent use by multiple goroutines.
-type LockFreeHandle[T any] struct {
-	h *scq.QueueHandle[T]
-}
-
-// Enqueue appends v; false when full.
-//
-//wfq:noalloc
-func (h *LockFreeHandle[T]) Enqueue(v T) bool { return h.h.Enqueue(v) }
-
-// Dequeue removes the oldest value; ok is false when empty.
-//
-//wfq:noalloc
-func (h *LockFreeHandle[T]) Dequeue() (T, bool) { return h.h.Dequeue() }
-
-// EnqueueBatch appends a prefix of vs in order and returns its length
-// (a short count means the queue filled up mid-batch). The whole
-// batch is reserved with one fetch-and-add per ring instead of one
-// per element; the steady-state hot path allocates nothing.
-//
-//wfq:noalloc
-func (h *LockFreeHandle[T]) EnqueueBatch(vs []T) int { return h.h.EnqueueBatch(vs) }
-
-// DequeueBatch fills a prefix of out with the oldest values and
-// returns its length; 0 means the queue appeared empty.
-//
-//wfq:noalloc
-func (h *LockFreeHandle[T]) DequeueBatch(out []T) int { return h.h.DequeueBatch(out) }
-
-// ShardedQueue composes several independent ring cores into one queue
-// that spreads the single head/tail hot word across shards: each
-// handle enqueues to a fixed home shard (assigned round-robin at
-// Handle time) and dequeues round-robin with work stealing, so no
-// shard starves. Any one handle's values come back in strict FIFO
-// order; values from different handles may interleave in either
-// order. With bounded shards (the default) Enqueue reports full when
-// the handle's home shard is full (capacity is split evenly across
-// shards); with WithUnboundedShards the shards grow instead and
-// Enqueue never reports full.
-type ShardedQueue[T any] struct {
-	q *sharded.Queue[T]
-}
-
-// ShardedHandle is a goroutine's capability to use a ShardedQueue.
-// Not safe for concurrent use by multiple goroutines.
-type ShardedHandle[T any] struct {
-	h *sharded.Handle[T]
-}
+func (q *LockFreeQueue[T]) Dequeue() (T, bool) { return q.shared.Dequeue() }
 
 // NewSharded returns an empty sharded queue of total capacity
 // `capacity` split across WithShards(n) sub-queues (default 4);
@@ -459,93 +524,20 @@ type ShardedHandle[T any] struct {
 // WithUnboundedShards swaps the bounded rings for unbounded
 // linked-ring shards, reinterpreting capacity as each shard's ring
 // size (a power of two >= 2).
+//
+// The sharded queue spreads the single head/tail hot word across
+// shards: each handle enqueues to a fixed home shard (assigned
+// round-robin at Handle time) and dequeues home-first, then
+// round-robin with work stealing, so no shard starves. Any one
+// handle's values come back in strict FIFO order; values from
+// different handles may interleave in either order. With bounded
+// shards Enqueue reports full when the handle's home shard is full;
+// with unbounded shards it never does.
 func NewSharded[T any](capacity uint64, maxThreads int, opts ...Option) (*ShardedQueue[T], error) {
-	return newSharded[T](capacity, maxThreads, buildOpts(opts))
-}
-
-// newSharded is NewSharded over already-parsed options, so NewChan can
-// select unbounded shards without re-running the caller's Option list.
-func newSharded[T any](capacity uint64, maxThreads int, o options) (*ShardedQueue[T], error) {
-	// The total capacity need not be a power of two — only the
-	// per-shard quotient must be, which sharded.New validates.
-	if maxThreads < 1 {
-		return nil, fmt.Errorf("wfqueue: maxThreads must be >= 1, got %d", maxThreads)
-	}
+	o := buildOpts(opts)
+	b := BackendSharded
 	if o.unboundedShards {
-		// capacity is each shard's ring size here; phrase the contract
-		// in this package's vocabulary instead of the internal layers'.
-		if err := validate(capacity, maxThreads); err != nil {
-			return nil, err
-		}
+		b = BackendShardedUnbounded
 	}
-	kind, err := o.ringKind.kind()
-	if err != nil {
-		return nil, err
-	}
-	q, err := sharded.New[T](capacity, maxThreads, &sharded.Options{
-		Shards:    o.shards,
-		Kind:      kind,
-		Unbounded: o.unboundedShards,
-		Core:      o.core(),
-	})
-	if err != nil {
-		return nil, err
-	}
-	return &ShardedQueue[T]{q: q}, nil
+	return newQueue(newCore[T](b, capacity, maxThreads, o))
 }
-
-// Handle registers the calling goroutine, assigning its home shard
-// round-robin. It fails once maxThreads handles exist.
-func (q *ShardedQueue[T]) Handle() (*ShardedHandle[T], error) {
-	h, err := q.q.Register()
-	if err != nil {
-		return nil, err
-	}
-	return &ShardedHandle[T]{h: h}, nil
-}
-
-// Cap returns the total capacity (summed over shards), or 0 with
-// unbounded shards.
-func (q *ShardedQueue[T]) Cap() uint64 { return q.q.Cap() }
-
-// Shards returns the shard count.
-func (q *ShardedQueue[T]) Shards() int { return q.q.Shards() }
-
-// Unbounded reports whether the shards are unbounded linked-ring
-// queues (WithUnboundedShards).
-func (q *ShardedQueue[T]) Unbounded() bool { return q.q.Unbounded() }
-
-// Footprint returns the bytes the shards retain, summed: a constant
-// for bounded shards, a live grow-and-shrink figure with
-// WithUnboundedShards.
-func (q *ShardedQueue[T]) Footprint() uint64 { return q.q.Footprint() }
-
-// Stats snapshots the metrics sink shared by the queue and every
-// shard. The zero snapshot is returned when the queue was built
-// without WithMetrics.
-func (q *ShardedQueue[T]) Stats() MetricsSnapshot { return q.q.Metrics().Snapshot() }
-
-// Enqueue appends v to the handle's home shard; false means that
-// shard is full (never the case with unbounded shards).
-//
-//wfq:noalloc
-func (h *ShardedHandle[T]) Enqueue(v T) bool { return h.h.Enqueue(v) }
-
-// Dequeue removes the oldest value of some shard; ok is false only
-// after every shard looked empty in one scan.
-//
-//wfq:noalloc
-func (h *ShardedHandle[T]) Dequeue() (v T, ok bool) { return h.h.Dequeue() }
-
-// EnqueueBatch appends a prefix of vs in order, paying the shard
-// selection once for the whole batch; it returns how many values were
-// enqueued (short counts mean the home shard filled up).
-//
-//wfq:noalloc
-func (h *ShardedHandle[T]) EnqueueBatch(vs []T) int { return h.h.EnqueueBatch(vs) }
-
-// DequeueBatch fills a prefix of out, draining runs from one shard
-// before rotating; it returns how many values were written.
-//
-//wfq:noalloc
-func (h *ShardedHandle[T]) DequeueBatch(out []T) int { return h.h.DequeueBatch(out) }
