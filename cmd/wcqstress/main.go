@@ -1,11 +1,11 @@
-// Command wcqstress runs the MPMC correctness checker against any
-// queue in the registry for an arbitrary duration — the long-running
-// validation companion to the unit suite.
+// Command wcqstress is the one correctness CLI: each round runs
+// checker.Run against a registry queue and, for the unbounded queues
+// of queues.UnboundedQueues, the checker.Footprint leak check.
 //
 //	wcqstress -queue wCQ -producers 4 -consumers 4 -rounds 20
 //	wcqstress -queue all -slowpath            # force wCQ's helped paths
 //	wcqstress -queue Sharded -shards 8        # sharded composition
-//	wcqstress -queue all -batch 32            # batched enqueue/dequeue rounds
+//	wcqstress -queue all -batch 32            # scalar and batch ops of 1..32 values
 //	                                          # (native single-F&A reservation
 //	                                          # on the ring-based queues)
 //	wcqstress -queue UWCQ -capacity 64        # unbounded: tiny rings, heavy
@@ -17,13 +17,15 @@
 //
 // "all" covers every real queue, including the unbounded LSCQ/UWCQ
 // (where -capacity sets the per-ring size, not a bound); -blocking
-// covers every Chan facade, including ChanUnbounded.
+// covers every Chan facade, including ChanUnbounded. Exit status 1
+// means a round failed.
 package main
 
 import (
 	"flag"
 	"fmt"
 	"os"
+	"slices"
 	"time"
 
 	"repro/internal/checker"
@@ -31,6 +33,10 @@ import (
 	"repro/internal/queueapi"
 	"repro/internal/queues"
 )
+
+// footprintCycles is the fill/drain cycle count of each round's leak
+// check.
+const footprintCycles = 16
 
 func main() {
 	var (
@@ -57,6 +63,14 @@ func main() {
 		os.Exit(2)
 	}
 
+	ccfg := checker.Config{
+		Producers:   *producers,
+		Consumers:   *consumers,
+		PerProducer: *per,
+		Capacity:    int(shared.Capacity),
+		Batch:       shared.Batch,
+		Blocking:    shared.Blocking,
+	}
 	failed := false
 	for _, name := range names {
 		for r := 0; r < *rounds; r++ {
@@ -74,29 +88,24 @@ func main() {
 				}
 			}
 			start := time.Now()
-			ccfg := checker.Config{
-				Producers:   *producers,
-				Consumers:   *consumers,
-				PerProducer: *per,
-				Capacity:    int(shared.Capacity),
-			}
-			switch {
-			case shared.Blocking && shared.Batch > 1:
-				err = checker.RunBlockingBatch(q, ccfg, shared.Batch)
-			case shared.Blocking:
-				err = checker.RunBlocking(q, ccfg)
-			case shared.Batch > 1:
-				err = checker.RunBatch(q, ccfg, shared.Batch)
-			default:
-				err = checker.Run(q, ccfg)
+			leak := slices.Contains(queues.UnboundedQueues(), name)
+			if err = checker.Run(q, ccfg); err == nil && leak {
+				// The leak check starts from a fresh queue: a blocking
+				// run leaves its queue closed.
+				if q, err = queues.New(name, cfg); err == nil {
+					err = checker.Footprint(q, ccfg, footprintCycles)
+				}
 			}
 			if err != nil {
 				fmt.Printf("%-12s round %d FAIL: %v\n", name, r, err)
 				failed = true
 				break
 			}
-			fmt.Printf("%-12s round %d ok (%d values, %.2fs)\n",
-				name, r, *producers**per, time.Since(start).Seconds())
+			fmt.Printf("%-12s round %d ok (%d values, %.2fs)", name, r, *producers**per, time.Since(start).Seconds())
+			if leak {
+				fmt.Printf(", %d-cycle leak check ok", footprintCycles)
+			}
+			fmt.Println()
 		}
 	}
 	if failed {

@@ -11,8 +11,8 @@
 //	wcqstressd -addr :9100 -interval 2s -snapshots snap.jsonl
 //	wcqstressd -duration 30s                    # bounded soak (CI smoke)
 //	wcqstressd -validate snap.jsonl             # check a snapshot log and exit
-//	wcqstressd -scenario all -duration 5s       # production-readiness scenarios
-//	wcqstressd -scenario memory_stress -queue UWCQ   # one scenario, one queue
+//
+// It checks no values: correctness runs are cmd/wcqstress.
 //
 // Endpoints:
 //
@@ -41,7 +41,6 @@ import (
 
 	"repro/internal/benchfmt"
 	"repro/internal/clihelper"
-	"repro/internal/harness"
 	"repro/internal/metrics"
 	"repro/internal/queues"
 )
@@ -55,7 +54,6 @@ func main() {
 		snapshots = flag.String("snapshots", "", "append one wcqbench/v1 JSON line per interval to this file")
 		duration  = flag.Duration("duration", 0, "total run time (0 = until SIGINT/SIGTERM)")
 		validate  = flag.String("validate", "", "validate a wcqbench/v1 snapshot file and exit")
-		scenario  = flag.String("scenario", "", "run a production-readiness scenario (concurrent_stress, memory_stress, high_frequency, or 'all') against -queue and exit")
 	)
 	shared := clihelper.Register(flag.CommandLine, 1<<8)
 	flag.Parse()
@@ -87,13 +85,6 @@ func main() {
 		os.Exit(2)
 	}
 
-	if *scenario != "" {
-		if err := runScenarios(*scenario, *queueName, cfg, n, *duration); err != nil {
-			fmt.Fprintln(os.Stderr, "wcqstressd: scenario FAIL:", err)
-			os.Exit(1)
-		}
-		return
-	}
 	// The daemon exists to watch the internals: the sink is always on,
 	// whatever -metrics says.
 	if cfg.Metrics == nil {
@@ -188,34 +179,4 @@ loop:
 		os.Exit(1)
 	}
 	fmt.Println("wcqstressd: clean shutdown")
-}
-
-// runScenarios executes the production-readiness stress tier: the
-// named scenario (or every one, for "all") against the selected queue.
-// Any conservation violation, footprint leak or livelock surfaces as
-// the scenario's error and a nonzero exit.
-func runScenarios(scenario, queueName string, cfg queues.Config, threads int, duration time.Duration) error {
-	names := []string{scenario}
-	if scenario == "all" {
-		names = harness.StressScenarioNames()
-	}
-	if duration <= 0 {
-		duration = 5 * time.Second
-	}
-	for _, s := range names {
-		res, err := harness.RunStress(s, queueName, cfg, harness.StressOpts{
-			Threads:  threads,
-			Duration: duration,
-		})
-		if err != nil {
-			return err
-		}
-		fmt.Printf("wcqstressd: %s/%s ok: %d transfers in %v, footprint %.3f MB",
-			s, queueName, res.Transfers, res.Elapsed.Round(time.Millisecond), res.FootprintMB)
-		if res.Cycles > 0 {
-			fmt.Printf(", %d cycles, baseline %.3f MB", res.Cycles, res.BaselineMB)
-		}
-		fmt.Println()
-	}
-	return nil
 }

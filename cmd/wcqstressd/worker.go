@@ -7,6 +7,7 @@ import (
 	"sync"
 	"time"
 
+	"repro/internal/backoff"
 	"repro/internal/harness"
 	"repro/internal/queueapi"
 )
@@ -55,16 +56,16 @@ func (d *daemon) startWorkers() (*sync.WaitGroup, error) {
 func (d *daemon) produce(wg *sync.WaitGroup, i int, w queueapi.Waitable) {
 	defer wg.Done()
 	slot, hist := &d.slots[i], d.hists[i]
-	rng := uint64(i+1)*2654435761 + 1
+	rng := backoff.NewRand(uint64(i))
 	for n := uint64(0); !d.stop.Load(); n++ {
-		rng = xorshift(rng)
+		v := rng.Next()
 		if n&latSampleMask == 0 {
 			t := time.Now()
-			if w.Send(rng) != nil {
+			if w.Send(v) != nil {
 				return
 			}
 			hist.Record(uint64(time.Since(t)))
-		} else if w.Send(rng) != nil {
+		} else if w.Send(v) != nil {
 			return
 		}
 		slot.ops.Add(1)
@@ -102,12 +103,11 @@ func (d *daemon) pairwise(wg *sync.WaitGroup, i int, h queueapi.Handle) {
 	defer wg.Done()
 	const burst = 256
 	slot, hist := &d.slots[i], d.hists[i]
-	rng := uint64(i+1)*2654435761 + 1
+	rng := backoff.NewRand(uint64(i))
 	for !d.stop.Load() {
 		// One timed scalar pair per cycle samples op latency.
 		t := time.Now()
-		rng = xorshift(rng)
-		if h.Enqueue(rng) {
+		if h.Enqueue(rng.Next()) {
 			if _, ok := h.Dequeue(); ok {
 				hist.Record(uint64(time.Since(t)))
 				slot.ops.Add(2)
@@ -119,8 +119,7 @@ func (d *daemon) pairwise(wg *sync.WaitGroup, i int, h queueapi.Handle) {
 		}
 		pending := 0
 		for ; pending < burst; pending++ {
-			rng = xorshift(rng)
-			if !h.Enqueue(rng) {
+			if !h.Enqueue(rng.Next()) {
 				break
 			}
 		}
@@ -141,12 +140,4 @@ func reportIfAbnormal(err error) {
 	if !errors.Is(err, queueapi.ErrClosed) {
 		fmt.Printf("wcqstressd: worker error: %v\n", err)
 	}
-}
-
-// xorshift is the same tiny PRNG the harness workloads use.
-func xorshift(x uint64) uint64 {
-	x ^= x << 13
-	x ^= x >> 7
-	x ^= x << 17
-	return x
 }

@@ -1,5 +1,5 @@
-// Package checker provides the MPMC correctness harness applied to
-// every queue implementation in this repository. It verifies the three
+// Package checker is the one correctness driver applied to every
+// queue implementation in this repository. Run verifies the three
 // properties a linearizable MPMC FIFO must exhibit under concurrency:
 //
 //  1. No loss: every enqueued value is eventually dequeued.
@@ -8,6 +8,11 @@
 //     values in strictly increasing sequence order (a consequence of
 //     linearizability that is cheap to check without full history
 //     analysis).
+//
+// A watchdog inside Run turns a run that stops delivering into a
+// livelock error instead of a hang. Footprint checks the paper's
+// bounded-memory claim across fill/drain cycles; RunSPSC and RunDrain
+// are the strict-order and full/empty special cases.
 //
 // Values are encoded as producerID<<32 | sequence.
 package checker
@@ -18,7 +23,9 @@ import (
 	"runtime"
 	"sync"
 	"sync/atomic"
+	"time"
 
+	"repro/internal/backoff"
 	"repro/internal/queueapi"
 )
 
@@ -31,7 +38,23 @@ type Config struct {
 	// full in a way the producers cannot absorb; producers spin on a
 	// full queue.
 	Capacity int
+	// Batch bounds operation length: each one's is drawn from a seeded
+	// stream in [1, Batch]. Length 1 uses Enqueue/Dequeue (Send/Recv),
+	// longer ones the batch calls (SendMany/RecvMany when blocking), so
+	// one handle mixes both. Batch > 1 also runs the batch atomicity
+	// pre-phase. 0 means 1.
+	Batch int
+	// Blocking drives q (a queueapi.Closer with Waitable handles)
+	// through parked sends and receives; q is closed once every
+	// producer finishes and consumers drain until ErrClosed, so the
+	// exactly-once sweep proves Close loses nothing.
+	Blocking bool
 }
+
+// progressWindow is the livelock watchdog's sampling period: Run fails
+// once two consecutive windows deliver no value. It is far longer than
+// a scheduler stall on a loaded host.
+const progressWindow = time.Second
 
 // Encode builds a checker payload value.
 func Encode(producer, seq int) uint64 { return uint64(producer)<<32 | uint64(seq) }
@@ -39,15 +62,17 @@ func Encode(producer, seq int) uint64 { return uint64(producer)<<32 | uint64(seq
 // Decode splits a checker payload value.
 func Decode(v uint64) (producer, seq int) { return int(v >> 32), int(v & 0xffffffff) }
 
-// verifier holds the property-checking state shared by Run and
-// RunBatch, so the scalar and batched drivers enforce identical
-// semantics by construction.
+// verifier holds the property-checking state of one Run, shared by
+// every producer and consumer, plus the run's stop signal.
 type verifier struct {
 	cfg       Config
 	total     int
 	delivered []atomic.Int32
 	consumed  atomic.Int64
 	errs      chan error
+	stop      atomic.Bool
+	closer    queueapi.Closer // nil unless cfg.Blocking
+	closed    atomic.Bool
 }
 
 func newVerifier(cfg Config) *verifier {
@@ -66,6 +91,24 @@ func (vf *verifier) report(err error) {
 	case vf.errs <- err:
 	default:
 	}
+}
+
+// fail records err and stops the run: producers and consumers return
+// at their next full/empty poll, and a blocking queue is closed so
+// parked goroutines wake.
+func (vf *verifier) fail(err error) {
+	vf.report(err)
+	vf.stop.Store(true)
+	_ = vf.closeQueue() // the run already failed; a close error adds nothing
+}
+
+// closeQueue closes a blocking queue exactly once, whether the drain
+// or a failure asks first.
+func (vf *verifier) closeQueue() error {
+	if vf.closer == nil || !vf.closed.CompareAndSwap(false, true) {
+		return nil
+	}
+	return vf.closer.Close()
 }
 
 // observe validates one dequeued value against a consumer's
@@ -107,50 +150,263 @@ func (vf *verifier) finish() error {
 	return nil
 }
 
+// watch is the livelock watchdog. It samples the delivered count once
+// per progressWindow until finished closes, and fails the run once two
+// consecutive windows delivered nothing.
+func (vf *verifier) watch(finished <-chan struct{}) {
+	tick := time.NewTicker(progressWindow)
+	defer tick.Stop()
+	var last int64
+	idle := 0
+	for {
+		select {
+		case <-finished:
+			return
+		case <-tick.C:
+		}
+		now := vf.consumed.Load()
+		if now != last {
+			last, idle = now, 0
+			continue
+		}
+		if idle++; idle == 2 {
+			vf.fail(fmt.Errorf("livelock: no value delivered for %v (%d of %d delivered)",
+				2*progressWindow, now, vf.total))
+			return
+		}
+	}
+}
+
 // Run drives q with cfg and returns an error describing the first
-// violated property, if any.
+// violated property, if any. With Batch > 1 it also checks the batch
+// contract: atomicity in the pre-phase, and partial-success accounting
+// under concurrency — short enqueue counts are prefixes (the FIFO check
+// proves producers resume without reordering) and dequeue counts match
+// what was written (sentinel-poisoned buffers catch over-writes, the
+// exactly-once sweep under-counts). A misreported count or a stall
+// ends the run with an error rather than a hang.
 func Run(q queueapi.Queue, cfg Config) error {
+	batch := max(cfg.Batch, 1)
 	vf := newVerifier(cfg)
-	var wg sync.WaitGroup
-
-	for p := 0; p < cfg.Producers; p++ {
-		h, err := q.Handle()
-		if err != nil {
-			return fmt.Errorf("producer handle: %w", err)
+	if cfg.Blocking {
+		c, ok := q.(queueapi.Closer)
+		if !ok {
+			return fmt.Errorf("checker: %s does not implement queueapi.Closer", q.Name())
 		}
-		wg.Add(1)
-		go func(p int, h queueapi.Handle) {
-			defer wg.Done()
-			for i := 0; i < cfg.PerProducer; i++ {
-				for !h.Enqueue(Encode(p, i)) {
-					runtime.Gosched() // full: wait for consumers
-				}
-			}
-		}(p, h)
+		vf.closer = c
+	}
+	if batch > 1 {
+		if err := checkBatchAtomicity(q, cfg, batch); err != nil {
+			return fmt.Errorf("batch atomicity: %w", err)
+		}
+	}
+	eps := make([]endpoint, cfg.Producers+cfg.Consumers)
+	for i := range eps {
+		e, err := newEndpoint(q, cfg.Blocking, batch)
+		if err != nil {
+			return fmt.Errorf("handle %d: %w", i, err)
+		}
+		eps[i] = e
 	}
 
-	for c := 0; c < cfg.Consumers; c++ {
-		h, err := q.Handle()
-		if err != nil {
-			return fmt.Errorf("consumer handle: %w", err)
-		}
-		wg.Add(1)
-		go func(h queueapi.Handle) {
-			defer wg.Done()
-			lastSeq := make(map[int]int, cfg.Producers)
-			for !vf.done() {
-				v, ok := h.Dequeue()
-				if !ok {
-					runtime.Gosched()
-					continue
-				}
-				vf.observe(v, lastSeq)
-			}
-		}(h)
+	var producers, consumers sync.WaitGroup
+	for p, e := range eps[:cfg.Producers] {
+		producers.Add(1)
+		go func() {
+			defer producers.Done()
+			vf.produce(p, e, backoff.NewRand(uint64(p)), batch)
+		}()
 	}
-
-	wg.Wait()
+	for c, e := range eps[cfg.Producers:] {
+		consumers.Add(1)
+		go func() {
+			defer consumers.Done()
+			vf.consume(e, backoff.NewRand(uint64(cfg.Producers+c)), batch)
+		}()
+	}
+	finished := make(chan struct{})
+	go func() {
+		producers.Wait()
+		if err := vf.closeQueue(); err != nil {
+			vf.fail(fmt.Errorf("checker: Close: %w", err))
+		}
+		consumers.Wait()
+		close(finished)
+	}()
+	vf.watch(finished)
+	<-finished
 	return vf.finish()
+}
+
+// produce enqueues producer p's values in order, in operations whose
+// lengths come from rng. A full queue is retried until the stop
+// signal; a misreported count stops the run.
+func (vf *verifier) produce(p int, e endpoint, rng backoff.Rand, batch int) {
+	buf := make([]uint64, batch)
+	for i := 0; i < vf.cfg.PerProducer; {
+		vs := buf[:min(1+rng.Intn(batch), vf.cfg.PerProducer-i)]
+		for j := range vs {
+			vs[j] = Encode(p, i+j)
+		}
+		i += len(vs)
+		for len(vs) > 0 {
+			n, err := e.put(vs)
+			if err != nil {
+				vf.fail(fmt.Errorf("producer %d: %w", p, err))
+				return
+			}
+			if n == 0 {
+				if vf.stop.Load() {
+					return
+				}
+				runtime.Gosched() // full: wait for consumers
+			}
+			vs = vs[n:]
+		}
+	}
+}
+
+// consume dequeues in operations whose lengths come from rng until
+// every value is observed (nonblocking) or the queue reports closed
+// and drained (blocking), or the stop signal.
+func (vf *verifier) consume(e endpoint, rng backoff.Rand, batch int) {
+	lastSeq := make(map[int]int, vf.cfg.Producers)
+	buf := make([]uint64, batch)
+	for vf.cfg.Blocking || !vf.done() {
+		out := buf[:1+rng.Intn(batch)]
+		for i := range out {
+			out[i] = sentinel
+		}
+		n, err := e.take(out)
+		if err != nil {
+			if !errors.Is(err, queueapi.ErrClosed) {
+				vf.fail(fmt.Errorf("consumer: %w", err))
+			}
+			return
+		}
+		if n == 0 {
+			if vf.stop.Load() {
+				return
+			}
+			runtime.Gosched()
+			continue
+		}
+		for i := n; i < len(out); i++ {
+			if out[i] != sentinel {
+				vf.fail(fmt.Errorf("a %d-value dequeue wrote past its count at [%d]", n, i))
+				return
+			}
+		}
+		for _, v := range out[:n] {
+			vf.observe(v, lastSeq)
+		}
+	}
+}
+
+// endpoint is one goroutine's handle on the queue under test. put
+// enqueues a prefix of vs and take fills a prefix of out; both return
+// the prefix length. A nonblocking endpoint returns 0 on full or
+// empty; a blocking one parks, and its take reports ErrClosed once the
+// queue is closed and drained. A count that breaks the operation's
+// contract is an error.
+type endpoint interface {
+	put(vs []uint64) (int, error)
+	take(out []uint64) (int, error)
+}
+
+func newEndpoint(q queueapi.Queue, blocking bool, batch int) (endpoint, error) {
+	if !blocking {
+		h, err := q.Handle()
+		if err != nil {
+			return nil, err
+		}
+		return spinEndpoint{h}, nil
+	}
+	w, err := queueapi.WaitableHandle(q)
+	if err != nil {
+		return nil, err
+	}
+	bw, ok := w.(queueapi.BatchWaitable)
+	if !ok && batch > 1 {
+		return nil, fmt.Errorf("%s handle is not batch-blocking (no SendMany/RecvMany)", q.Name())
+	}
+	return parkEndpoint{w, bw}, nil
+}
+
+// spinEndpoint drives a nonblocking queueapi.Handle.
+type spinEndpoint struct{ h queueapi.Handle }
+
+func (e spinEndpoint) put(vs []uint64) (int, error) {
+	if len(vs) == 1 {
+		if e.h.Enqueue(vs[0]) {
+			return 1, nil
+		}
+		return 0, nil
+	}
+	n := queueapi.EnqueueBatch(e.h, vs)
+	if n < 0 || n > len(vs) {
+		return 0, fmt.Errorf("EnqueueBatch returned %d for a %d-element batch", n, len(vs))
+	}
+	return n, nil
+}
+
+func (e spinEndpoint) take(out []uint64) (int, error) {
+	if len(out) == 1 {
+		v, ok := e.h.Dequeue()
+		if !ok {
+			return 0, nil
+		}
+		out[0] = v
+		return 1, nil
+	}
+	n := queueapi.DequeueBatch(e.h, out)
+	if n < 0 || n > len(out) {
+		return 0, fmt.Errorf("DequeueBatch returned %d for a %d-slot buffer", n, len(out))
+	}
+	return n, nil
+}
+
+// parkEndpoint drives a blocking handle; bw is nil when only scalar
+// operations are drawn.
+type parkEndpoint struct {
+	w  queueapi.Waitable
+	bw queueapi.BatchWaitable
+}
+
+func (e parkEndpoint) put(vs []uint64) (int, error) {
+	if len(vs) == 1 {
+		if err := e.w.Send(vs[0]); err != nil {
+			return 0, fmt.Errorf("Send: %w", err)
+		}
+		return 1, nil
+	}
+	n, err := e.bw.SendMany(vs)
+	if err != nil {
+		return 0, fmt.Errorf("SendMany: %w", err)
+	}
+	if n != len(vs) {
+		return 0, fmt.Errorf("SendMany delivered %d of %d without error", n, len(vs))
+	}
+	return n, nil
+}
+
+func (e parkEndpoint) take(out []uint64) (int, error) {
+	if len(out) == 1 {
+		v, err := e.w.Recv()
+		if err != nil {
+			return 0, err
+		}
+		out[0] = v
+		return 1, nil
+	}
+	n, err := e.bw.RecvMany(out)
+	if err != nil {
+		return 0, err
+	}
+	if n < 1 || n > len(out) {
+		return 0, fmt.Errorf("RecvMany returned %d values with nil error", n)
+	}
+	return n, nil
 }
 
 // sentinel poisons dequeue buffers so over-writing batch accounting
@@ -159,7 +415,7 @@ func Run(q queueapi.Queue, cfg Config) error {
 // caught by observe as corruption.
 const sentinel = ^uint64(0)
 
-// checkBatchAtomicity is RunBatch's deterministic pre-phase: a single
+// checkBatchAtomicity is Run's deterministic batch pre-phase: a single
 // handle on an otherwise idle queue, where every batch must take the
 // uncontended fast path, so the batch atomicity contract is exact and
 // checkable — EnqueueBatch(k) buffers exactly k values, DequeueBatch
@@ -235,257 +491,6 @@ func checkBatchAtomicity(q queueapi.Queue, cfg Config, batch int) error {
 		}
 	}
 	return nil
-}
-
-// RunBatch drives q with batched enqueues and dequeues (through the
-// queueapi.Batcher fast path when the queue has one, the generic
-// fallback otherwise) and verifies the same three properties as Run —
-// no loss, no duplication, per-producer FIFO — plus the batch
-// contract: a deterministic pre-phase asserts batch atomicity (a
-// fast-path batch's elements are contiguous in FIFO order relative to
-// each other) where it is exact, and the concurrent phase checks
-// partial-success accounting — short enqueue counts are prefixes (so
-// producers resume mid-batch without reordering, which the FIFO check
-// then proves) and dequeue counts match exactly what was written
-// (sentinel-poisoned buffers catch over-writes, the exactly-once sweep
-// catches under-counts).
-func RunBatch(q queueapi.Queue, cfg Config, batch int) error {
-	if batch < 1 {
-		return fmt.Errorf("checker: batch size %d < 1", batch)
-	}
-	if err := checkBatchAtomicity(q, cfg, batch); err != nil {
-		return fmt.Errorf("batch atomicity: %w", err)
-	}
-	vf := newVerifier(cfg)
-	var wg sync.WaitGroup
-
-	for p := 0; p < cfg.Producers; p++ {
-		h, err := q.Handle()
-		if err != nil {
-			return fmt.Errorf("producer handle: %w", err)
-		}
-		wg.Add(1)
-		go func(p int, h queueapi.Handle) {
-			defer wg.Done()
-			buf := make([]uint64, 0, batch)
-			for i := 0; i < cfg.PerProducer; i += len(buf) {
-				buf = buf[:0]
-				for j := i; j < cfg.PerProducer && len(buf) < batch; j++ {
-					buf = append(buf, Encode(p, j))
-				}
-				sent := 0
-				for sent < len(buf) {
-					n := queueapi.EnqueueBatch(h, buf[sent:])
-					if n < 0 || n > len(buf)-sent {
-						vf.report(fmt.Errorf("EnqueueBatch returned %d for a %d-element batch", n, len(buf)-sent))
-						return
-					}
-					sent += n
-					if n == 0 {
-						runtime.Gosched() // full: wait for consumers
-					}
-				}
-			}
-		}(p, h)
-	}
-
-	for c := 0; c < cfg.Consumers; c++ {
-		h, err := q.Handle()
-		if err != nil {
-			return fmt.Errorf("consumer handle: %w", err)
-		}
-		wg.Add(1)
-		go func(h queueapi.Handle) {
-			defer wg.Done()
-			lastSeq := make(map[int]int, cfg.Producers)
-			buf := make([]uint64, batch)
-			for !vf.done() {
-				for i := range buf {
-					buf[i] = sentinel
-				}
-				n := queueapi.DequeueBatch(h, buf)
-				if n < 0 || n > len(buf) {
-					vf.report(fmt.Errorf("DequeueBatch returned %d for a %d-slot buffer", n, len(buf)))
-					return
-				}
-				if n == 0 {
-					runtime.Gosched()
-					continue
-				}
-				for i := n; i < len(buf); i++ {
-					if buf[i] != sentinel {
-						vf.report(fmt.Errorf("DequeueBatch wrote past its count at [%d]", i))
-						return
-					}
-				}
-				for _, v := range buf[:n] {
-					vf.observe(v, lastSeq)
-				}
-			}
-		}(h)
-	}
-
-	wg.Wait()
-	return vf.finish()
-}
-
-// RunBlockingBatch drives a blocking queue whose handles implement
-// queueapi.BatchWaitable through parked SendMany/RecvMany and a
-// graceful Close, verifying the same properties as RunBlocking plus
-// the batch close contract: SendMany delivers whole batches before
-// the close, RecvMany never returns 0 values without an error, and at
-// close-drain the final values arrive as a partial batch with every
-// produced value still delivered exactly once.
-func RunBlockingBatch(q queueapi.Queue, cfg Config, batch int) error {
-	if batch < 1 {
-		return fmt.Errorf("checker: batch size %d < 1", batch)
-	}
-	closer, ok := q.(queueapi.Closer)
-	if !ok {
-		return fmt.Errorf("checker: %s does not implement queueapi.Closer", q.Name())
-	}
-
-	vf := newVerifier(cfg)
-	var producers, consumers sync.WaitGroup
-
-	batchHandle := func() (queueapi.BatchWaitable, error) {
-		w, err := queueapi.WaitableHandle(q)
-		if err != nil {
-			return nil, err
-		}
-		bw, ok := w.(queueapi.BatchWaitable)
-		if !ok {
-			return nil, fmt.Errorf("%s handle is not batch-blocking (no SendMany/RecvMany)", q.Name())
-		}
-		return bw, nil
-	}
-
-	for p := 0; p < cfg.Producers; p++ {
-		bw, err := batchHandle()
-		if err != nil {
-			return fmt.Errorf("producer handle: %w", err)
-		}
-		producers.Add(1)
-		go func(p int, bw queueapi.BatchWaitable) {
-			defer producers.Done()
-			buf := make([]uint64, 0, batch)
-			for i := 0; i < cfg.PerProducer; i += len(buf) {
-				buf = buf[:0]
-				for j := i; j < cfg.PerProducer && len(buf) < batch; j++ {
-					buf = append(buf, Encode(p, j))
-				}
-				n, err := bw.SendMany(buf)
-				if err != nil {
-					vf.report(fmt.Errorf("producer %d: SendMany: %w", p, err))
-					return
-				}
-				if n != len(buf) {
-					vf.report(fmt.Errorf("producer %d: SendMany delivered %d of %d without error", p, n, len(buf)))
-					return
-				}
-			}
-		}(p, bw)
-	}
-
-	for c := 0; c < cfg.Consumers; c++ {
-		bw, err := batchHandle()
-		if err != nil {
-			return fmt.Errorf("consumer handle: %w", err)
-		}
-		consumers.Add(1)
-		go func(bw queueapi.BatchWaitable) {
-			defer consumers.Done()
-			lastSeq := make(map[int]int, cfg.Producers)
-			out := make([]uint64, batch)
-			for {
-				n, err := bw.RecvMany(out)
-				if err != nil {
-					if !errors.Is(err, queueapi.ErrClosed) {
-						vf.report(fmt.Errorf("consumer: RecvMany: %w", err))
-					}
-					return
-				}
-				if n < 1 || n > len(out) {
-					vf.report(fmt.Errorf("RecvMany returned %d values with nil error", n))
-					return
-				}
-				for _, v := range out[:n] {
-					vf.observe(v, lastSeq)
-				}
-			}
-		}(bw)
-	}
-
-	producers.Wait()
-	if err := closer.Close(); err != nil {
-		return fmt.Errorf("checker: Close: %w", err)
-	}
-	consumers.Wait()
-	return vf.finish()
-}
-
-// RunBlocking drives a blocking queue — one whose handles implement
-// queueapi.Waitable and that itself implements queueapi.Closer —
-// through parked Send/Recv and a graceful Close, and verifies the
-// same three properties as Run plus the close contract: producers
-// Send every value (no spinning on full; they park), the queue is
-// closed once all producers finish, and consumers drain until Recv
-// reports ErrClosed. Every produced value must still be delivered
-// exactly once — drain semantics mean Close loses nothing.
-func RunBlocking(q queueapi.Queue, cfg Config) error {
-	closer, ok := q.(queueapi.Closer)
-	if !ok {
-		return fmt.Errorf("checker: %s does not implement queueapi.Closer", q.Name())
-	}
-
-	vf := newVerifier(cfg)
-	var producers, consumers sync.WaitGroup
-
-	for p := 0; p < cfg.Producers; p++ {
-		w, err := queueapi.WaitableHandle(q)
-		if err != nil {
-			return fmt.Errorf("producer handle: %w", err)
-		}
-		producers.Add(1)
-		go func(p int, w queueapi.Waitable) {
-			defer producers.Done()
-			for i := 0; i < cfg.PerProducer; i++ {
-				if err := w.Send(Encode(p, i)); err != nil {
-					vf.report(fmt.Errorf("producer %d: Send(%d): %w", p, i, err))
-					return
-				}
-			}
-		}(p, w)
-	}
-
-	for c := 0; c < cfg.Consumers; c++ {
-		w, err := queueapi.WaitableHandle(q)
-		if err != nil {
-			return fmt.Errorf("consumer handle: %w", err)
-		}
-		consumers.Add(1)
-		go func(w queueapi.Waitable) {
-			defer consumers.Done()
-			lastSeq := make(map[int]int, cfg.Producers)
-			for {
-				v, err := w.Recv()
-				if err != nil {
-					if !errors.Is(err, queueapi.ErrClosed) {
-						vf.report(fmt.Errorf("consumer: Recv: %w", err))
-					}
-					return
-				}
-				vf.observe(v, lastSeq)
-			}
-		}(w)
-	}
-
-	producers.Wait()
-	if err := closer.Close(); err != nil {
-		return fmt.Errorf("checker: Close: %w", err)
-	}
-	consumers.Wait()
-	return vf.finish()
 }
 
 // RunSPSC verifies strict global FIFO order with one producer and one

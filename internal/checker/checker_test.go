@@ -4,7 +4,9 @@ import (
 	"context"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	"repro/internal/queueapi"
 )
@@ -87,7 +89,7 @@ func (q *lifoQueue) Dequeue() (uint64, bool) {
 }
 
 // blockingRef is a trivially correct blocking queue (a Go channel)
-// used to validate RunBlocking accepts correct close/drain behaviour.
+// used to validate that blocking Run accepts correct close/drain behaviour.
 type blockingRef struct {
 	ch   chan uint64
 	drop int // deliver every drop-th value nowhere (0 = correct)
@@ -164,7 +166,7 @@ func (q *blockingRef) RecvCtx(ctx context.Context) (uint64, error) {
 
 func TestBlockingCheckerAcceptsCorrectQueue(t *testing.T) {
 	q := newBlockingRef(64, 0)
-	err := RunBlocking(q, Config{Producers: 3, Consumers: 3, PerProducer: 3000, Capacity: 64})
+	err := Run(q, Config{Producers: 3, Consumers: 3, PerProducer: 3000, Capacity: 64, Blocking: true})
 	if err != nil {
 		t.Fatalf("correct blocking queue rejected: %v", err)
 	}
@@ -172,14 +174,14 @@ func TestBlockingCheckerAcceptsCorrectQueue(t *testing.T) {
 
 func TestBlockingCheckerCatchesLoss(t *testing.T) {
 	q := newBlockingRef(64, 100) // silently drops every 100th value
-	err := RunBlocking(q, Config{Producers: 2, Consumers: 2, PerProducer: 2000, Capacity: 64})
+	err := Run(q, Config{Producers: 2, Consumers: 2, PerProducer: 2000, Capacity: 64, Blocking: true})
 	if err == nil {
 		t.Fatal("lost values not detected by blocking checker")
 	}
 }
 
 func TestBlockingCheckerRejectsNonBlockingQueue(t *testing.T) {
-	if err := RunBlocking(&mutexQueue{}, Config{Producers: 1, Consumers: 1, PerProducer: 1}); err == nil {
+	if err := Run(&mutexQueue{}, Config{Producers: 1, Consumers: 1, PerProducer: 1, Blocking: true}); err == nil {
 		t.Fatal("queue without Closer/Waitable accepted")
 	}
 }
@@ -201,13 +203,13 @@ func TestBatchCheckerAcceptsCorrectQueue(t *testing.T) {
 	// The mutex queue has no native Batcher, so this also exercises
 	// the queueapi fallback path end to end.
 	q := &mutexQueue{}
-	if err := RunBatch(q, Config{Producers: 2, Consumers: 2, PerProducer: 2000, Capacity: 64}, 8); err != nil {
+	if err := Run(q, Config{Producers: 2, Consumers: 2, PerProducer: 2000, Capacity: 64, Batch: 8}); err != nil {
 		t.Fatalf("correct queue rejected by batch checker: %v", err)
 	}
 }
 
 func TestBatchCheckerCatchesDuplicates(t *testing.T) {
-	err := RunBatch(&dupQueue{}, Config{Producers: 1, Consumers: 1, PerProducer: 200, Capacity: 64}, 4)
+	err := Run(&dupQueue{}, Config{Producers: 1, Consumers: 1, PerProducer: 200, Capacity: 64, Batch: 4})
 	if err == nil {
 		t.Fatal("duplicate deliveries not detected by batch checker")
 	}
@@ -224,5 +226,125 @@ func TestCheckerCatchesFIFOViolation(t *testing.T) {
 	err := RunSPSC(&lifoQueue{}, 1000)
 	if err == nil || !strings.Contains(err.Error(), "FIFO") {
 		t.Fatalf("LIFO order not detected: %v", err)
+	}
+}
+
+// overReportQueue is a correct queue whose native EnqueueBatch starts
+// over-reporting once the batch pre-phase is past: it enqueues every
+// value but claims one more. The producer that sees the bad count
+// stops early, so the values the consumers wait for never come.
+type overReportQueue struct {
+	mutexQueue
+	calls atomic.Int32
+}
+
+func (q *overReportQueue) Handle() (queueapi.Handle, error) { return q, nil }
+func (q *overReportQueue) EnqueueBatch(vs []uint64) int {
+	for _, v := range vs {
+		q.Enqueue(v)
+	}
+	if q.calls.Add(1) > 8 { // the pre-phase makes 4 calls
+		return len(vs) + 1
+	}
+	return len(vs)
+}
+func (q *overReportQueue) DequeueBatch(out []uint64) int {
+	for i := range out {
+		v, ok := q.Dequeue()
+		if !ok {
+			return i
+		}
+		out[i] = v
+	}
+	return len(out)
+}
+
+// stuckQueue reports full and empty forever: nothing is ever
+// delivered.
+type stuckQueue struct{ mutexQueue }
+
+func (q *stuckQueue) Handle() (queueapi.Handle, error) { return q, nil }
+func (q *stuckQueue) Enqueue(uint64) bool              { return false }
+func (q *stuckQueue) Dequeue() (uint64, bool)          { return 0, false }
+
+// stuckBlockingQueue parks every Send and Recv until Close: a blocking
+// queue that delivers nothing.
+type stuckBlockingQueue struct {
+	stuckQueue
+	closed chan struct{}
+}
+
+func (q *stuckBlockingQueue) Handle() (queueapi.Handle, error) { return q, nil }
+func (q *stuckBlockingQueue) Close() error                     { close(q.closed); return nil }
+func (q *stuckBlockingQueue) Send(uint64) error                { <-q.closed; return queueapi.ErrClosed }
+func (q *stuckBlockingQueue) SendCtx(context.Context, uint64) error {
+	return q.Send(0)
+}
+func (q *stuckBlockingQueue) Recv() (uint64, error) { <-q.closed; return 0, queueapi.ErrClosed }
+func (q *stuckBlockingQueue) RecvCtx(context.Context) (uint64, error) {
+	return q.Recv()
+}
+
+// runWithin runs the checker and fails the test if it takes longer
+// than limit; a hung checker is caught by the test timeout instead.
+func runWithin(t *testing.T, limit time.Duration, q queueapi.Queue, cfg Config) error {
+	t.Helper()
+	start := time.Now()
+	err := Run(q, cfg)
+	if d := time.Since(start); d > limit {
+		t.Fatalf("checker took %v, want under %v", d, limit)
+	}
+	return err
+}
+
+func TestBatchCheckerFailsOnOverReport(t *testing.T) {
+	err := runWithin(t, 10*time.Second, &overReportQueue{},
+		Config{Producers: 2, Consumers: 2, PerProducer: 2000, Capacity: 64, Batch: 8})
+	if err == nil || !strings.Contains(err.Error(), "EnqueueBatch returned") {
+		t.Fatalf("over-reporting EnqueueBatch not reported: %v", err)
+	}
+}
+
+func TestCheckerFailsOnLivelock(t *testing.T) {
+	err := runWithin(t, 10*time.Second, &stuckQueue{},
+		Config{Producers: 2, Consumers: 2, PerProducer: 100, Capacity: 64})
+	if err == nil || !strings.Contains(err.Error(), "livelock") {
+		t.Fatalf("stuck queue not reported as livelock: %v", err)
+	}
+}
+
+func TestBlockingCheckerFailsOnLivelock(t *testing.T) {
+	q := &stuckBlockingQueue{closed: make(chan struct{})}
+	err := runWithin(t, 10*time.Second, q,
+		Config{Producers: 2, Consumers: 2, PerProducer: 100, Capacity: 64, Blocking: true})
+	if err == nil || !strings.Contains(err.Error(), "livelock") {
+		t.Fatalf("stuck blocking queue not reported as livelock: %v", err)
+	}
+}
+
+// leakyQueue retains 256 bytes per value ever enqueued: 1 MB per
+// 4096-value unbounded fill/drain cycle.
+type leakyQueue struct {
+	mutexQueue
+	enqueued atomic.Uint64
+}
+
+func (q *leakyQueue) Handle() (queueapi.Handle, error) { return q, nil }
+func (q *leakyQueue) Footprint() uint64                { return q.enqueued.Load() * 256 }
+func (q *leakyQueue) Enqueue(v uint64) bool {
+	q.enqueued.Add(1)
+	return q.mutexQueue.Enqueue(v)
+}
+
+func TestFootprintCatchesLeak(t *testing.T) {
+	err := Footprint(&leakyQueue{}, Config{Producers: 2, Consumers: 2}, 8)
+	if err == nil || !strings.Contains(err.Error(), "leaked") {
+		t.Fatalf("growing footprint not reported as a leak: %v", err)
+	}
+}
+
+func TestFootprintAcceptsStableQueue(t *testing.T) {
+	if err := Footprint(&mutexQueue{}, Config{Producers: 2, Consumers: 2}, 8); err != nil {
+		t.Fatalf("stable queue rejected: %v", err)
 	}
 }

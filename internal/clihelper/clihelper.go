@@ -1,10 +1,11 @@
 // Package clihelper centralizes the queue-construction flag plumbing
-// shared by cmd/wcqbench and cmd/wcqstress, so the two tools register
-// the same flags with the same meanings and cannot drift (before this
-// package each tool declared its own subset by hand). That includes
-// the composition dimensions: -shards (how many sub-queues) and -ring
-// (which ring core inside them) are declared once here, so the
-// kind x composition matrix is spelled identically everywhere.
+// shared by cmd/wcqbench, cmd/wcqstress and cmd/wcqstressd, so the
+// three tools register the same flags with the same meanings and
+// cannot drift (before this package each tool declared its own subset
+// by hand). That includes the composition dimensions: -shards (how
+// many sub-queues) and -ring (which ring core inside them) are
+// declared once here, so the kind x composition matrix is spelled
+// identically everywhere.
 package clihelper
 
 import (
@@ -33,7 +34,8 @@ type Flags struct {
 	// ChanUnbounded ("wCQ" or "SCQ"; empty = wCQ). Fixed-kind queue
 	// names (wCQ, SCQ, LSCQ, UWCQ) ignore it.
 	Ring string
-	// Batch > 1 drives batched enqueue/dequeue paths.
+	// Batch > 1 drives batched enqueue/dequeue paths (in wcqstress,
+	// operation lengths drawn from [1, Batch]).
 	Batch int
 	// Emulate selects CAS-emulated F&A (the PowerPC configuration).
 	Emulate bool

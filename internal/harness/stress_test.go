@@ -1,65 +1,34 @@
 package harness
 
 import (
-	"strings"
 	"testing"
-	"time"
 
+	"repro/internal/checker"
 	"repro/internal/queues"
 )
 
-// stressDuration scales the scenarios for the regular suite: a quick
-// pulse under -short, a substantial slice otherwise. The full-length
-// tier lives in soak_test.go behind the soak build tag.
-func stressDuration(t *testing.T) time.Duration {
-	t.Helper()
-	if testing.Short() {
-		return 100 * time.Millisecond
-	}
-	return 300 * time.Millisecond
-}
-
-func TestStressScenarioNamesDispatch(t *testing.T) {
-	names := StressScenarioNames()
-	if len(names) != 3 {
-		t.Fatalf("have %d scenarios, want 3", len(names))
-	}
-	for _, s := range names {
-		s := s
-		t.Run(s, func(t *testing.T) {
-			res, err := RunStress(s, "wCQ", queues.Config{Capacity: 256}, StressOpts{
-				Threads: 2, Duration: 50 * time.Millisecond,
-			})
-			if err != nil {
-				t.Fatal(err)
-			}
-			if res.Transfers == 0 {
-				t.Fatal("scenario moved no values")
-			}
-		})
-	}
-	if _, err := RunStress("fork_bomb", "wCQ", queues.Config{}, StressOpts{}); err == nil {
-		t.Fatal("unknown scenario accepted")
-	} else if !strings.Contains(err.Error(), "concurrent_stress") {
-		t.Fatalf("error does not list the valid scenarios: %v", err)
-	}
-}
+// The harness's own stress tier is gone; these tests keep its three
+// checks on the registry queues, now driven by internal/checker:
+// exactly-once delivery under mixed scalar and batch traffic, progress
+// on a tiny ring under the livelock watchdog, and a footprint that
+// returns to its baseline after fill/drain cycles.
 
 func TestConcurrentStressConservation(t *testing.T) {
-	// The conservation check must hold on the bare rings, the sharded
-	// composition, an unbounded queue, and a blocking facade's
-	// nonblocking surface alike.
+	// Every handle mixes scalar and batch calls (lengths drawn from
+	// [1, 16]) on the bare rings, the sharded composition, an unbounded
+	// queue, and a blocking facade's nonblocking surface alike.
 	for _, name := range []string{"wCQ", "SCQ", "Sharded", "UWCQ", "Chan"} {
 		name := name
 		t.Run(name, func(t *testing.T) {
-			res, err := ConcurrentStress(name, queues.Config{Capacity: 512}, StressOpts{
-				Threads: 4, Duration: stressDuration(t),
-			})
+			q, err := queues.New(name, queues.Config{Capacity: 512, MaxThreads: 8})
 			if err != nil {
 				t.Fatal(err)
 			}
-			if res.Transfers == 0 || res.Elapsed <= 0 {
-				t.Fatalf("underfilled result: %+v", res)
+			err = checker.Run(q, checker.Config{
+				Producers: 2, Consumers: 2, PerProducer: 20000, Capacity: 512, Batch: 16,
+			})
+			if err != nil {
+				t.Fatal(err)
 			}
 		})
 	}
@@ -67,39 +36,39 @@ func TestConcurrentStressConservation(t *testing.T) {
 
 func TestMemoryStressHoldsFootprintBaseline(t *testing.T) {
 	// The unbounded queues are the ones with something to leak: their
-	// footprint is live (outer-list segments), so a retained segment
-	// chain would break the post-drain baseline bound.
+	// footprint is live (linked rings), so a retained ring chain would
+	// break the post-drain baseline bound. wCQ is the constant-footprint
+	// control.
 	for _, name := range []string{"UWCQ", "LSCQ", "ChanUnbounded", "wCQ"} {
 		name := name
 		t.Run(name, func(t *testing.T) {
-			res, err := MemoryStress(name, queues.Config{Capacity: 128}, StressOpts{
-				Threads: 2, Duration: stressDuration(t),
-			})
+			q, err := queues.New(name, queues.Config{Capacity: 128, MaxThreads: 8})
 			if err != nil {
 				t.Fatal(err)
 			}
-			if res.Cycles < 2 {
-				t.Fatalf("only %d fill/drain cycles completed", res.Cycles)
-			}
-			if res.FootprintMB > res.BaselineMB*2+0.25 {
-				t.Fatalf("final footprint %.3f MB above baseline %.3f MB bound", res.FootprintMB, res.BaselineMB)
+			if err := checker.Footprint(q, checker.Config{Producers: 1, Consumers: 1}, 16); err != nil {
+				t.Fatal(err)
 			}
 		})
 	}
 }
 
 func TestHighFrequencyMakesProgress(t *testing.T) {
+	// A 64-slot ring under four goroutines spends most operations on
+	// full/empty transitions; the checker's watchdog fails the run if
+	// delivery ever stalls for two windows.
 	for _, name := range []string{"wCQ", "SCQ", "Chan"} {
 		name := name
 		t.Run(name, func(t *testing.T) {
-			res, err := HighFrequency(name, queues.Config{}, StressOpts{
-				Threads: 4, Duration: stressDuration(t),
-			})
+			q, err := queues.New(name, queues.Config{Capacity: 64, MaxThreads: 8})
 			if err != nil {
 				t.Fatal(err)
 			}
-			if res.Transfers == 0 {
-				t.Fatal("no transfers at high frequency")
+			err = checker.Run(q, checker.Config{
+				Producers: 2, Consumers: 2, PerProducer: 20000, Capacity: 64,
+			})
+			if err != nil {
+				t.Fatal(err)
 			}
 		})
 	}

@@ -66,8 +66,8 @@ func TestBlockingConformance(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			err = checker.RunBlocking(q2, checker.Config{
-				Producers: 3, Consumers: 3, PerProducer: 3000, Capacity: 256,
+			err = checker.Run(q2, checker.Config{
+				Producers: 3, Consumers: 3, PerProducer: 3000, Capacity: 256, Blocking: true,
 			})
 			if err != nil {
 				t.Fatalf("blocking checker: %v", err)
@@ -85,8 +85,8 @@ func TestBlockingSlowpathConformance(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	err = checker.RunBlocking(q, checker.Config{
-		Producers: 2, Consumers: 2, PerProducer: 2000, Capacity: 256,
+	err = checker.Run(q, checker.Config{
+		Producers: 2, Consumers: 2, PerProducer: 2000, Capacity: 256, Blocking: true,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -287,8 +287,10 @@ func TestMPMCAsymmetric(t *testing.T) {
 
 func TestWCQTinyCapacityContention(t *testing.T) {
 	// Tiny rings maximize wrap-around and slow-path traffic for the
-	// bounded queues.
-	for _, name := range []string{"wCQ", "SCQ"} {
+	// bounded queues, and full/empty transitions dominate: the regime
+	// where the checker's livelock watchdog matters most. Chan adds the
+	// facade's nonblocking surface over the same tiny wCQ ring.
+	for _, name := range []string{"wCQ", "SCQ", "Chan"} {
 		name := name
 		t.Run(name, func(t *testing.T) {
 			cfg := testCfg()
@@ -358,8 +360,10 @@ func TestMPMCBatched(t *testing.T) {
 	// pseudo-queue, which is not a real FIFO): the queues with a native
 	// queueapi.Batcher — wCQ, SCQ, Sharded, LSCQ, UWCQ and every Chan
 	// facade — exercise the single-F&A reservation path, the baselines
-	// the generic fallback. RunBatch also asserts the batch atomicity
-	// and partial-success accounting contracts.
+	// the generic fallback. Operation lengths are drawn from [1, 16], so
+	// every handle mixes scalar and batch calls; the checker also
+	// asserts the batch atomicity and partial-success accounting
+	// contracts.
 	names := append(append([]string{}, RealQueues()...), BlockingQueues()...)
 	for _, name := range names {
 		name := name
@@ -368,9 +372,9 @@ func TestMPMCBatched(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			err = checker.RunBatch(q, checker.Config{
-				Producers: 3, Consumers: 3, PerProducer: 4000, Capacity: 256,
-			}, 16)
+			err = checker.Run(q, checker.Config{
+				Producers: 3, Consumers: 3, PerProducer: 4000, Capacity: 256, Batch: 16,
+			})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -418,9 +422,9 @@ func TestBlockingBatchConformance(t *testing.T) {
 			if _, ok := h.(queueapi.BatchWaitable); !ok {
 				t.Fatalf("%s handle does not implement queueapi.BatchWaitable", name)
 			}
-			err = checker.RunBlockingBatch(q, checker.Config{
-				Producers: 3, Consumers: 3, PerProducer: 3000, Capacity: 256,
-			}, 16)
+			err = checker.Run(q, checker.Config{
+				Producers: 3, Consumers: 3, PerProducer: 3000, Capacity: 256, Batch: 16, Blocking: true,
+			})
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -218,7 +218,7 @@ func TestCheckerMPMC(t *testing.T) {
 func TestCheckerBatchedMPMC(t *testing.T) {
 	q := mustNew(t, 256, 16, &sharded.Options{Shards: 4})
 	a := &apiQueue{q: q}
-	if err := checker.RunBatch(a, checker.Config{Producers: 4, Consumers: 4, PerProducer: 5000, Capacity: 256}, 32); err != nil {
+	if err := checker.Run(a, checker.Config{Producers: 4, Consumers: 4, PerProducer: 5000, Capacity: 256, Batch: 32}); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -286,7 +286,7 @@ func TestUnboundedShards(t *testing.T) {
 func TestUnboundedShardsSCQKind(t *testing.T) {
 	q := mustNew(t, 16, 16, &sharded.Options{Shards: 2, Unbounded: true, Kind: ringcore.KindSCQ})
 	a := &apiQueue{q: q}
-	if err := checker.RunBatch(a, checker.Config{Producers: 3, Consumers: 3, PerProducer: 3000, Capacity: 64}, 16); err != nil {
+	if err := checker.Run(a, checker.Config{Producers: 3, Consumers: 3, PerProducer: 3000, Capacity: 64, Batch: 16}); err != nil {
 		t.Fatal(err)
 	}
 }
