@@ -1,35 +1,39 @@
-// Command wcqstress is the one correctness CLI: each round runs
-// checker.Run against a registry queue and, for the unbounded queues
-// of queues.UnboundedQueues, the checker.Footprint leak check.
+// Command wcqstress is the one stress tool, short or long. Each round
+// is a verified checker round (exactly-once, per-producer FIFO,
+// livelock watchdog) on a registry queue, plus the checker.Footprint
+// leak check for queues.UnboundedQueues. Without -blocking one queue
+// serves every round, so its ring counters age across the run; a
+// blocking round closes its queue, so the next round builds a new one.
 //
-//	wcqstress -queue wCQ -producers 4 -consumers 4 -rounds 20
-//	wcqstress -queue all -slowpath            # force wCQ's helped paths
-//	wcqstress -queue Sharded -shards 8        # sharded composition
-//	wcqstress -queue all -batch 32            # scalar and batch ops of 1..32 values
-//	                                          # (native single-F&A reservation
-//	                                          # on the ring-based queues)
-//	wcqstress -queue UWCQ -capacity 64        # unbounded: tiny rings, heavy
-//	                                          # turnover and pool recycling
-//	wcqstress -blocking                       # blocking Chan facades: parked
-//	                                          # Send/Recv + graceful close/drain
-//	wcqstress -blocking -batch 16             # parked SendMany/RecvMany incl.
-//	                                          # partial batches at close-drain
+//	wcqstress -queue all -batch 32 -slowpath  # every real queue, ops of 1..32 values, helped paths
+//	wcqstress -blocking -batch 16             # every Chan facade: parked ops + close/drain
+//	wcqstress -queue UWCQ -capacity 64 -rounds 0 -serve 127.0.0.1:8377 -snapshots snap.jsonl
 //
-// "all" covers every real queue, including the unbounded LSCQ/UWCQ
-// (where -capacity sets the per-ring size, not a bound); -blocking
-// covers every Chan facade, including ChanUnbounded. Exit status 1
-// means a round failed.
+// -rounds 0 runs one queue until SIGINT or SIGTERM, which lets the
+// current round finish. -serve turns the metrics sink on and serves
+// /metrics (Prometheus text) and /debug/vars (expvar JSON, key
+// "wcqstress"); -snapshots appends one wcqbench/v1 record (figure
+// "live") per round. Exit status: 0 when every round passed or a
+// signal ended the run, 1 on the first failed round or snapshot
+// append, 2 on a usage error.
 package main
 
 import (
+	"context"
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
+	"os/signal"
 	"slices"
+	"syscall"
 	"time"
 
+	"repro/internal/benchfmt"
 	"repro/internal/checker"
 	"repro/internal/clihelper"
+	"repro/internal/metrics"
 	"repro/internal/queueapi"
 	"repro/internal/queues"
 )
@@ -39,76 +43,129 @@ import (
 const footprintCycles = 16
 
 func main() {
-	var (
-		queue     = flag.String("queue", "", "queue name or 'all' (default: wCQ, or 'all' with -blocking)")
-		producers = flag.Int("producers", 4, "producer goroutines")
-		consumers = flag.Int("consumers", 4, "consumer goroutines")
-		per       = flag.Int("per", 20000, "values per producer per round")
-		rounds    = flag.Int("rounds", 5, "checker rounds per queue")
-	)
-	shared := clihelper.Register(flag.CommandLine, 256)
-	flag.Parse()
+	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
+	code := run(ctx, os.Args[1:], os.Stdout, os.Stderr)
+	stop()
+	os.Exit(code)
+}
 
+// run is the whole tool over explicit arguments and streams; once ctx
+// ends no further round starts. It returns the exit status.
+func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("wcqstress", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	var (
+		queue     = fs.String("queue", "", "queue name or 'all' (default: wCQ, or 'all' with -blocking)")
+		producers = fs.Int("producers", 4, "producer goroutines")
+		consumers = fs.Int("consumers", 4, "consumer goroutines")
+		per       = fs.Int("per", 20000, "values per producer per round")
+		rounds    = fs.Int("rounds", 5, "checker rounds per queue (0 = until SIGINT/SIGTERM)")
+		serve     = fs.String("serve", "", "serve /metrics and /debug/vars on this address (turns the metrics sink on)")
+		snapshots = fs.String("snapshots", "", "append one wcqbench/v1 JSON line per round to this file")
+	)
+	shared := clihelper.Register(fs, 256)
+	if err := fs.Parse(args); err != nil {
+		return 2
+	}
 	if *queue == "" {
+		*queue = "wCQ"
 		if shared.Blocking {
 			*queue = "all"
-		} else {
-			*queue = "wCQ"
 		}
 	}
+	ccfg := checker.Config{Producers: *producers, Consumers: *consumers, PerProducer: *per,
+		Capacity: int(shared.Capacity), Batch: shared.Batch, Blocking: shared.Blocking}
 	names := shared.QueueNames(*queue)
-	cfg, err := shared.Config(*producers + *consumers + 2)
+	var cfg queues.Config
+	err := ccfg.Validate()
+	switch {
+	case err != nil:
+	case *rounds < 0:
+		err = fmt.Errorf("-rounds %d: want 0 (until a signal) or more", *rounds)
+	case *rounds == 0 && len(names) > 1:
+		err = errors.New("-rounds 0 never leaves the first queue: name one -queue")
+	default:
+		cfg, err = shared.Config(*producers + *consumers + 2)
+	}
+	mon := newMonitor(*producers + *consumers)
+	if err == nil && *serve != "" {
+		// The served gauges exist to watch the internals: the sink is
+		// on whatever -metrics says.
+		if cfg.Metrics == nil {
+			cfg.Metrics = metrics.New()
+		}
+		var shutdown func()
+		if shutdown, err = mon.serve(*serve, stdout); err == nil {
+			defer shutdown()
+		}
+	}
 	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(2)
+		fmt.Fprintln(stderr, "wcqstress:", err)
+		return 2
 	}
 
-	ccfg := checker.Config{
-		Producers:   *producers,
-		Consumers:   *consumers,
-		PerProducer: *per,
-		Capacity:    int(shared.Capacity),
-		Batch:       shared.Batch,
-		Blocking:    shared.Blocking,
-	}
-	failed := false
-	for _, name := range names {
-		for r := 0; r < *rounds; r++ {
-			q, err := queues.New(name, cfg)
-			if err != nil {
-				fmt.Printf("%-12s SKIP (%v)\n", name, err)
-				break
-			}
-			if shared.Blocking {
-				// An unrunnable configuration is a SKIP, not a FAIL: the
-				// blocking checker needs the close/drain surface.
-				if _, ok := q.(queueapi.Closer); !ok {
-					fmt.Printf("%-12s SKIP (not a blocking queue; use one of %v with -blocking)\n", name, queues.BlockingQueues())
-					break
+	// stress runs the rounds on queue name and reports whether every
+	// one passed. An unbuildable configuration prints SKIP and passes.
+	stress := func(name string) bool {
+		leak := slices.Contains(queues.UnboundedQueues(), name)
+		var sess *checker.Session
+		for r := 0; (*rounds == 0 || r < *rounds) && ctx.Err() == nil; r++ {
+			if sess == nil {
+				q, err := queues.New(name, cfg)
+				if _, ok := q.(queueapi.Closer); err == nil && ccfg.Blocking && !ok {
+					err = fmt.Errorf("not a blocking queue; use one of %v with -blocking", queues.BlockingQueues())
 				}
+				if err != nil {
+					fmt.Fprintf(stdout, "%-12s SKIP (%v)\n", name, err)
+					return true
+				}
+				if sess, err = checker.Open(q, ccfg); err != nil {
+					fmt.Fprintf(stdout, "%-12s round %d FAIL: %v\n", name, r, err)
+					return false
+				}
+				mon.watch(q)
 			}
 			start := time.Now()
-			leak := slices.Contains(queues.UnboundedQueues(), name)
-			if err = checker.Run(q, ccfg); err == nil && leak {
-				// The leak check starts from a fresh queue: a blocking
-				// run leaves its queue closed.
-				if q, err = queues.New(name, cfg); err == nil {
+			err := sess.Round()
+			dt := time.Since(start)
+			if ccfg.Blocking {
+				sess = nil // the round closed its queue
+			}
+			if err == nil && leak {
+				// On a fresh, unsinked queue: the session holds the
+				// stressed queue's handles, and the served gauges
+				// count the stressed queue only.
+				fcfg := cfg
+				fcfg.Metrics = nil
+				var q queueapi.Queue
+				if q, err = queues.New(name, fcfg); err == nil {
 					err = checker.Footprint(q, ccfg, footprintCycles)
 				}
 			}
 			if err != nil {
-				fmt.Printf("%-12s round %d FAIL: %v\n", name, r, err)
-				failed = true
-				break
+				fmt.Fprintf(stdout, "%-12s round %d FAIL: %v\n", name, r, err)
+				return false
 			}
-			fmt.Printf("%-12s round %d ok (%d values, %.2fs)", name, r, *producers**per, time.Since(start).Seconds())
+			values := *producers * *per
+			fmt.Fprintf(stdout, "%-12s round %d ok (%d values, %.2fs)", name, r, values, dt.Seconds())
 			if leak {
-				fmt.Printf(", %d-cycle leak check ok", footprintCycles)
+				fmt.Fprintf(stdout, ", %d-cycle leak check ok", footprintCycles)
 			}
-			fmt.Println()
+			fmt.Fprintln(stdout)
+			mon.roundDone(values)
+			if *snapshots != "" {
+				if err := benchfmt.Append(*snapshots, mon.snapshotFile(values, dt)); err != nil {
+					fmt.Fprintln(stderr, "wcqstress: snapshot append:", err)
+					return false
+				}
+			}
+		}
+		return true
+	}
+	for _, name := range names {
+		if ctx.Err() == nil && !stress(name) {
+			return 1
 		}
 	}
-	if failed {
-		os.Exit(1)
-	}
+	return 0
 }

@@ -1,7 +1,7 @@
 // Package benchfmt defines wcqbench/v1, the machine-readable result
 // format shared by cmd/wcqbench (one File per run, pretty-printed) and
-// cmd/wcqstressd (one File per snapshot interval, appended as JSON
-// Lines). Keeping the schema in one place means the daemon's live
+// cmd/wcqstress -snapshots (one File per verified round, appended as
+// JSON Lines). Keeping the schema in one place means the live
 // snapshots and the bench's figure tables stay comparable point for
 // point, and the CI smoke can validate either with the same code.
 package benchfmt
@@ -22,7 +22,7 @@ import (
 const Schema = "wcqbench/v1"
 
 // File is one wcqbench/v1 record: a run header plus one Point per
-// (figure, queue, threads) — or, for daemon snapshots, per workload.
+// (figure, queue, threads) — or, for live snapshots, per round.
 type File struct {
 	Schema     string  `json:"schema"`
 	Time       string  `json:"time"` // RFC 3339
@@ -34,8 +34,8 @@ type File struct {
 }
 
 // Point is one measurement. The bench keys points by
-// (figure, queue, threads[, batch|burst]); the daemon stamps the
-// figure "live" and reuses the same axes for its rolling interval.
+// (figure, queue, threads[, batch|burst]); wcqstress stamps the
+// figure "live" and reuses the same axes for each verified round.
 type Point struct {
 	Figure   string  `json:"figure"`
 	Queue    string  `json:"queue"`
@@ -215,7 +215,7 @@ func (f *File) Validate() error {
 }
 
 // Append validates f and appends it to path as one compact JSON line
-// (the daemon's snapshot log format: one File per interval).
+// (wcqstress's snapshot log format: one File per round).
 func Append(path string, f File) error {
 	if err := f.Validate(); err != nil {
 		return err

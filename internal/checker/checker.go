@@ -9,10 +9,12 @@
 //     linearizability that is cheap to check without full history
 //     analysis).
 //
-// A watchdog inside Run turns a run that stops delivering into a
-// livelock error instead of a hang. Footprint checks the paper's
-// bounded-memory claim across fill/drain cycles; RunSPSC and RunDrain
-// are the strict-order and full/empty special cases.
+// A watchdog inside every round turns a run that stops delivering into
+// a livelock error instead of a hang. Open acquires a queue's handles
+// once and Session.Round verifies one round on them, so a long run
+// ages one queue; Run is Open plus one Round. Footprint checks the
+// paper's bounded-memory claim across fill/drain cycles; RunSPSC and
+// RunDrain are the strict-order and full/empty special cases.
 //
 // Values are encoded as producerID<<32 | sequence.
 package checker
@@ -20,6 +22,7 @@ package checker
 import (
 	"errors"
 	"fmt"
+	"math"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -34,9 +37,10 @@ type Config struct {
 	Producers   int
 	Consumers   int
 	PerProducer int
-	// Capacity bounds in-flight values so bounded queues never report
-	// full in a way the producers cannot absorb; producers spin on a
-	// full queue.
+	// Capacity is the queue's capacity as the caller built it. It only
+	// caps the batch pre-phase's batch at Capacity/2, so the idle
+	// queue can take it whole; 0 means no cap. Producers retry a full
+	// queue whatever it is.
 	Capacity int
 	// Batch bounds operation length: each one's is drawn from a seeded
 	// stream in [1, Batch]. Length 1 uses Enqueue/Dequeue (Send/Recv),
@@ -51,8 +55,25 @@ type Config struct {
 	Blocking bool
 }
 
-// progressWindow is the livelock watchdog's sampling period: Run fails
-// once two consecutive windows deliver no value. It is far longer than
+// Validate rejects a Config that cannot describe a run: every run
+// needs a producer, a consumer and a value per producer, and a
+// producer's sequence numbers must fit Encode's 32-bit field.
+func (cfg Config) Validate() error {
+	switch {
+	case cfg.Producers < 1:
+		return fmt.Errorf("checker: %d producers, need at least 1", cfg.Producers)
+	case cfg.Consumers < 1:
+		return fmt.Errorf("checker: %d consumers, need at least 1", cfg.Consumers)
+	case cfg.PerProducer < 1:
+		return fmt.Errorf("checker: %d values per producer, need at least 1", cfg.PerProducer)
+	case uint64(cfg.PerProducer) > math.MaxUint32:
+		return fmt.Errorf("checker: %d values per producer overflow the 32-bit sequence field", cfg.PerProducer)
+	}
+	return nil
+}
+
+// progressWindow is the livelock watchdog's sampling period: a round
+// fails once two consecutive windows deliver no value. It is far longer than
 // a scheduler stall on a loaded host.
 const progressWindow = time.Second
 
@@ -62,8 +83,8 @@ func Encode(producer, seq int) uint64 { return uint64(producer)<<32 | uint64(seq
 // Decode splits a checker payload value.
 func Decode(v uint64) (producer, seq int) { return int(v >> 32), int(v & 0xffffffff) }
 
-// verifier holds the property-checking state of one Run, shared by
-// every producer and consumer, plus the run's stop signal.
+// verifier holds the property-checking state of one round, shared by
+// every producer and consumer, plus the round's stop signal.
 type verifier struct {
 	cfg       Config
 	total     int
@@ -75,13 +96,14 @@ type verifier struct {
 	closed    atomic.Bool
 }
 
-func newVerifier(cfg Config) *verifier {
+func newVerifier(cfg Config, closer queueapi.Closer) *verifier {
 	total := cfg.Producers * cfg.PerProducer
 	return &verifier{
 		cfg:       cfg,
 		total:     total,
 		delivered: make([]atomic.Int32, total),
 		errs:      make(chan error, cfg.Producers+cfg.Consumers+16),
+		closer:    closer,
 	}
 }
 
@@ -151,7 +173,7 @@ func (vf *verifier) finish() error {
 }
 
 // watch is the livelock watchdog. It samples the delivered count once
-// per progressWindow until finished closes, and fails the run once two
+// per progressWindow until finished closes, and fails the round once two
 // consecutive windows delivered nothing.
 func (vf *verifier) watch(finished <-chan struct{}) {
 	tick := time.NewTicker(progressWindow)
@@ -177,47 +199,100 @@ func (vf *verifier) watch(finished <-chan struct{}) {
 	}
 }
 
-// Run drives q with cfg and returns an error describing the first
-// violated property, if any. With Batch > 1 it also checks the batch
-// contract: atomicity in the pre-phase, and partial-success accounting
-// under concurrency — short enqueue counts are prefixes (the FIFO check
-// proves producers resume without reordering) and dequeue counts match
-// what was written (sentinel-poisoned buffers catch over-writes, the
-// exactly-once sweep under-counts). A misreported count or a stall
-// ends the run with an error rather than a hang.
+// Run drives q with cfg for one round (Open, then Round) and returns
+// an error describing the first violated property, if any.
 func Run(q queueapi.Queue, cfg Config) error {
-	batch := max(cfg.Batch, 1)
-	vf := newVerifier(cfg)
+	s, err := Open(q, cfg)
+	if err != nil {
+		return err
+	}
+	return s.Round()
+}
+
+// Session is one queue's checker endpoints, acquired once by Open so
+// every Round reuses the same handles and a long run ages one queue
+// without growing its thread census.
+type Session struct {
+	cfg    Config
+	batch  int
+	pre    queueapi.Handle // batch pre-phase handle; nil when batch is 1
+	eps    []endpoint      // producers, then consumers
+	closer queueapi.Closer // nil unless cfg.Blocking
+	spent  error           // why no further Round can run
+}
+
+// Open validates cfg and acquires q's endpoints: one per producer and
+// consumer, plus the batch pre-phase handle when cfg.Batch > 1.
+func Open(q queueapi.Queue, cfg Config) (*Session, error) {
+	if err := cfg.Validate(); err != nil {
+		return nil, err
+	}
+	s := &Session{cfg: cfg, batch: max(cfg.Batch, 1)}
 	if cfg.Blocking {
 		c, ok := q.(queueapi.Closer)
 		if !ok {
-			return fmt.Errorf("checker: %s does not implement queueapi.Closer", q.Name())
+			return nil, fmt.Errorf("checker: %s does not implement queueapi.Closer", q.Name())
 		}
-		vf.closer = c
+		s.closer = c
 	}
-	if batch > 1 {
-		if err := checkBatchAtomicity(q, cfg, batch); err != nil {
+	if s.batch > 1 {
+		h, err := q.Handle()
+		if err != nil {
+			return nil, fmt.Errorf("batch-atomicity handle: %w", err)
+		}
+		s.pre = h
+	}
+	s.eps = make([]endpoint, cfg.Producers+cfg.Consumers)
+	for i := range s.eps {
+		e, err := newEndpoint(q, cfg.Blocking, s.batch)
+		if err != nil {
+			return nil, fmt.Errorf("handle %d: %w", i, err)
+		}
+		s.eps[i] = e
+	}
+	return s, nil
+}
+
+// Round runs one verified round on the session's endpoints with a
+// fresh verifier. With Batch > 1 it also checks the batch contract:
+// atomicity in the pre-phase, and partial-success accounting under
+// concurrency — short enqueue counts are prefixes (the FIFO check
+// proves producers resume without reordering) and dequeue counts match
+// what was written (sentinel-poisoned buffers catch over-writes, the
+// exactly-once sweep under-counts). A misreported count or a stall
+// ends the round with an error rather than a hang.
+//
+// A blocking round closes the queue, and a failed round may leave
+// values in it that the next round would count as its own, so after
+// either Round returns an error.
+func (s *Session) Round() (err error) {
+	if s.spent != nil {
+		return s.spent
+	}
+	defer func() {
+		if err != nil {
+			s.spent = fmt.Errorf("checker: an earlier round failed: %w", err)
+		} else if s.closer != nil {
+			s.spent = errors.New("checker: a blocking round closed the queue; Open a new one")
+		}
+	}()
+	cfg, batch := s.cfg, s.batch
+	if s.pre != nil {
+		if err := checkBatchAtomicity(s.pre, cfg, batch); err != nil {
 			return fmt.Errorf("batch atomicity: %w", err)
 		}
 	}
-	eps := make([]endpoint, cfg.Producers+cfg.Consumers)
-	for i := range eps {
-		e, err := newEndpoint(q, cfg.Blocking, batch)
-		if err != nil {
-			return fmt.Errorf("handle %d: %w", i, err)
-		}
-		eps[i] = e
-	}
+	vf := newVerifier(cfg, s.closer)
 
 	var producers, consumers sync.WaitGroup
-	for p, e := range eps[:cfg.Producers] {
+	for p, e := range s.eps[:cfg.Producers] {
 		producers.Add(1)
 		go func() {
 			defer producers.Done()
 			vf.produce(p, e, backoff.NewRand(uint64(p)), batch)
 		}()
 	}
-	for c, e := range eps[cfg.Producers:] {
+	for c, e := range s.eps[cfg.Producers:] {
 		consumers.Add(1)
 		go func() {
 			defer consumers.Done()
@@ -415,18 +490,14 @@ func (e parkEndpoint) take(out []uint64) (int, error) {
 // caught by observe as corruption.
 const sentinel = ^uint64(0)
 
-// checkBatchAtomicity is Run's deterministic batch pre-phase: a single
-// handle on an otherwise idle queue, where every batch must take the
-// uncontended fast path, so the batch atomicity contract is exact and
+// checkBatchAtomicity is a round's deterministic batch pre-phase: the
+// session's handle h on an otherwise idle queue, where every batch
+// must take the uncontended fast path, so the batch atomicity contract is exact and
 // checkable — EnqueueBatch(k) buffers exactly k values, DequeueBatch
 // returns them contiguously in FIFO order relative to each other, and
 // neither operation's count ever disagrees with what moved. The queue
 // is left empty for the concurrent phase.
-func checkBatchAtomicity(q queueapi.Queue, cfg Config, batch int) error {
-	h, err := q.Handle()
-	if err != nil {
-		return fmt.Errorf("batch-atomicity handle: %w", err)
-	}
+func checkBatchAtomicity(h queueapi.Handle, cfg Config, batch int) error {
 	k := batch
 	if cfg.Capacity > 0 && k > cfg.Capacity/2 {
 		k = cfg.Capacity / 2
@@ -495,39 +566,10 @@ func checkBatchAtomicity(q queueapi.Queue, cfg Config, batch int) error {
 
 // RunSPSC verifies strict global FIFO order with one producer and one
 // consumer, the strongest order property observable without full
-// linearizability analysis.
+// linearizability analysis: with a single producer, Run's
+// per-producer order is the global order.
 func RunSPSC(q queueapi.Queue, n int) error {
-	hp, err := q.Handle()
-	if err != nil {
-		return err
-	}
-	hc, err := q.Handle()
-	if err != nil {
-		return err
-	}
-	done := make(chan error, 1)
-	go func() {
-		next := 0
-		for next < n {
-			v, ok := hc.Dequeue()
-			if !ok {
-				runtime.Gosched()
-				continue
-			}
-			if int(v) != next {
-				done <- fmt.Errorf("FIFO violation: got %d, want %d", v, next)
-				return
-			}
-			next++
-		}
-		done <- nil
-	}()
-	for i := 0; i < n; i++ {
-		for !hp.Enqueue(uint64(i)) {
-			runtime.Gosched()
-		}
-	}
-	return <-done
+	return Run(q, Config{Producers: 1, Consumers: 1, PerProducer: n})
 }
 
 // RunDrain enqueues n values (spinning on full), then drains the queue

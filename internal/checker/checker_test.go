@@ -2,6 +2,9 @@ package checker
 
 import (
 	"context"
+	"fmt"
+	"math"
+	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -9,6 +12,7 @@ import (
 	"time"
 
 	"repro/internal/queueapi"
+	"repro/internal/queues"
 )
 
 func TestEncodeDecode(t *testing.T) {
@@ -346,5 +350,86 @@ func TestFootprintCatchesLeak(t *testing.T) {
 func TestFootprintAcceptsStableQueue(t *testing.T) {
 	if err := Footprint(&mutexQueue{}, Config{Producers: 2, Consumers: 2}, 8); err != nil {
 		t.Fatalf("stable queue rejected: %v", err)
+	}
+}
+
+func TestConfigValidate(t *testing.T) {
+	ok := Config{Producers: 1, Consumers: 1, PerProducer: 1}
+	cases := []struct {
+		name string
+		edit func(*Config)
+	}{
+		{"negative producers", func(c *Config) { c.Producers = -1 }},
+		{"no producers", func(c *Config) { c.Producers = 0 }},
+		{"no consumers", func(c *Config) { c.Consumers = 0 }},
+		{"no values", func(c *Config) { c.PerProducer = 0 }},
+		{"negative values", func(c *Config) { c.PerProducer = -5 }},
+	}
+	if strconv.IntSize == 64 {
+		wide := uint64(math.MaxUint32) + 1 // one past Encode's sequence field
+		cases = append(cases, struct {
+			name string
+			edit func(*Config)
+		}{"values overflow the sequence field", func(c *Config) { c.PerProducer = int(wide) }})
+	}
+	if err := ok.Validate(); err != nil {
+		t.Fatalf("minimal config rejected: %v", err)
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			cfg := ok
+			c.edit(&cfg)
+			if err := cfg.Validate(); err == nil {
+				t.Fatalf("%+v accepted", cfg)
+			}
+			// Run must refuse before it sizes anything from cfg.
+			if err := Run(&mutexQueue{}, cfg); err == nil {
+				t.Fatalf("Run accepted %+v", cfg)
+			}
+		})
+	}
+}
+
+// TestSessionReusesHandles runs five rounds through one Open on the
+// census-bound ring queues, built with exactly the handles Open needs:
+// a round that registered new handles would exhaust the census at
+// round 1.
+func TestSessionReusesHandles(t *testing.T) {
+	for _, name := range []string{"wCQ", "Sharded", "UWCQ"} {
+		for _, batch := range []int{1, 4} {
+			cfg := Config{Producers: 2, Consumers: 2, PerProducer: 2000, Capacity: 64, Batch: batch}
+			handles := cfg.Producers + cfg.Consumers
+			if batch > 1 {
+				handles++ // the batch pre-phase handle
+			}
+			t.Run(fmt.Sprintf("%s/batch%d", name, batch), func(t *testing.T) {
+				q, err := queues.New(name, queues.Config{Capacity: 64, MaxThreads: handles})
+				if err != nil {
+					t.Fatal(err)
+				}
+				s, err := Open(q, cfg)
+				if err != nil {
+					t.Fatal(err)
+				}
+				for r := 0; r < 5; r++ {
+					if err := s.Round(); err != nil {
+						t.Fatalf("round %d: %v", r, err)
+					}
+				}
+			})
+		}
+	}
+}
+
+func TestBlockingSessionRefusesSecondRound(t *testing.T) {
+	s, err := Open(newBlockingRef(64, 0), Config{Producers: 1, Consumers: 1, PerProducer: 100, Blocking: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Round(); err != nil {
+		t.Fatalf("first blocking round: %v", err)
+	}
+	if err := s.Round(); err == nil || !strings.Contains(err.Error(), "closed") {
+		t.Fatalf("second round on a closed queue: %v", err)
 	}
 }

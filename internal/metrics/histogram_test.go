@@ -302,8 +302,8 @@ func TestHistogramQuantileMonotoneAdversarial(t *testing.T) {
 // and within the documented 1/16 relative error on every quantile
 // (exact here, since identical buckets yield identical representatives;
 // the bound is asserted anyway to pin the documented contract). This
-// is the property the open-loop harness and the daemon lean on when
-// they merge per-consumer histograms at scrape time.
+// is the property the open-loop harness and perfbench lean on when
+// they merge per-consumer histograms.
 func TestHistogramMergeThenQuantileEqualsRecordThenQuantile(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	whole := NewHistogram()

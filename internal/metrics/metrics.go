@@ -13,7 +13,7 @@
 // cache-line-padded stripes selected from the calling goroutine's stack
 // address, so concurrent writers on different CPUs do not contend on a
 // single cache line. Reads (Snapshot) sum the stripes; they are
-// intended for scrape-rate consumers (the wcqstressd daemon, test
+// intended for scrape-rate consumers (wcqstress -serve, test
 // assertions), not for the data path.
 //
 // All recording methods are allocation-free and carry //wfq:noalloc so
@@ -36,7 +36,8 @@ type Event uint8
 // The event taxonomy. Each constant names one rare-by-construction
 // branch in the stack; the fast paths (patience-loop hits, batch
 // reservations that land in one F&A) are deliberately not counted —
-// their throughput is observable from the daemon's own op counters.
+// their throughput is observable from wcqstress's verified value
+// counter.
 const (
 	// EnqSlowPath counts enqueue attempts that left the fast path: a
 	// wCQ handle publishing a slow-path request after exhausting its
@@ -123,7 +124,7 @@ const (
 	NumEvents
 )
 
-// eventNames are the stable wire names used by String and the daemon's
+// eventNames are the stable wire names used by String and wcqstress's
 // Prometheus/expvar export; keep them lower_snake so they can be pasted
 // into label values verbatim.
 var eventNames = [NumEvents]string{

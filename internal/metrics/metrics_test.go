@@ -57,8 +57,8 @@ func TestNilSink(t *testing.T) {
 	}
 }
 
-// TestEventNames: every event needs a stable, unique wire name — the
-// daemon exports them as Prometheus label values.
+// TestEventNames: every event needs a stable, unique wire name —
+// wcqstress -serve exports them as Prometheus label values.
 func TestEventNames(t *testing.T) {
 	seen := make(map[string]Event)
 	for e := Event(0); e < NumEvents; e++ {

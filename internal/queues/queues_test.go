@@ -150,7 +150,7 @@ func TestUnboundedConformance(t *testing.T) {
 }
 
 // TestUnboundedRingsGauge pins the live-ring gauge every unbounded
-// registry entry exports (wcqstressd's "rings"): overfilling 4-slot
+// registry entry exports (wcqstress -serve's "rings"): overfilling 4-slot
 // rings must show up as more than one linked ring, through the sharded
 // composition and the Chan facades too.
 func TestUnboundedRingsGauge(t *testing.T) {
