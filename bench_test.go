@@ -36,10 +36,10 @@ func benchFigure(b *testing.B, id string) {
 					Delays:  f.Delays,
 					Memory:  f.Memory,
 				})
-				if pt.Err != nil {
+				if pt.Err != "" {
 					b.Skipf("unavailable: %v", pt.Err)
 				}
-				b.ReportMetric(pt.Mops.Mean, "Mops/s")
+				b.ReportMetric(pt.MopsMean, "Mops/s")
 				if f.Memory {
 					b.ReportMetric(pt.MemoryMB, "MB")
 				}
@@ -87,10 +87,10 @@ func BenchmarkScaleOut(b *testing.B) {
 						Reps:    1,
 						Batch:   bench.batch,
 					})
-					if pt.Err != nil {
+					if pt.Err != "" {
 						b.Fatal(pt.Err)
 					}
-					b.ReportMetric(pt.Mops.Mean, "Mops/s")
+					b.ReportMetric(pt.MopsMean, "Mops/s")
 				})
 			}
 		}

@@ -1,6 +1,8 @@
 // Command wcqbench regenerates the tables behind every figure of the
 // wCQ paper's evaluation (SPAA '22, §6, Figs. 10-12) and the
-// post-paper figures (s1/s2 sharded scale-out, b1 blocking facade).
+// post-paper figures: s1/s2 sharded scale-out, b1 blocking facade, u1
+// unbounded burst/drain, p2 native batch reservation, l1 open-loop
+// latency, w1 wait strategies and h1 direct handoff.
 //
 // Usage:
 //
@@ -11,6 +13,7 @@
 //	wcqbench -figure s1 -shards 8        # sharded scale-out sweep
 //	wcqbench -figure s2 -batch 32        # batched 50/50 workload
 //	wcqbench -blocking                   # blocking figures + wakeup latency
+//	wcqbench -figure b1 -wait park       # blocking figure under one wait strategy
 //	wcqbench -figure u1                  # unbounded burst/drain + peak footprint
 //	wcqbench -figure p2                  # native batch reservation sweep
 //	wcqbench -figure p2 -smoke-batch     # CI smoke: batch=32 must beat scalar
@@ -22,6 +25,9 @@
 //	wcqbench -figure h1                  # direct handoff vs role imbalance
 //	wcqbench -figure all -json BENCH_queue.json
 //
+// A usage error (unknown figure, -ring, -wait or -arrival, a bad
+// list) exits 2 before any figure runs; a failed gate exits 1.
+//
 // Absolute numbers depend on the host; the reproduction target is the
 // SHAPE of each figure (who wins, by what factor, where lines cross).
 package main
@@ -30,198 +36,210 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"runtime"
+	"sort"
 	"strings"
 	"time"
 
 	"repro/internal/benchfmt"
 	"repro/internal/clihelper"
 	"repro/internal/harness"
+	"repro/internal/metrics"
+	"repro/internal/queues"
 )
 
-func main() {
-	var (
-		figure   = flag.String("figure", "all", "figure id (10a..12c, s1, s2, b1, u1, p2, l1) or 'all'")
-		ops      = flag.Int("ops", 200_000, "operations per measurement point (paper: 10,000,000)")
-		reps     = flag.Int("reps", 3, "repetitions per point (paper: 10)")
-		maxThr   = flag.Int("maxthreads", 0, "truncate the thread sweep (0 = full paper sweep)")
-		queuesF  = flag.String("queues", "", "comma-separated queue subset (default: figure's full line-up)")
-		record   = flag.String("record", "", "append results as a markdown section to this file")
-		jsonPath = flag.String("json", "", "write machine-readable results (wcqbench/v1) to this file, e.g. BENCH_queue.json")
-		latSamp  = flag.Int("latency-samples", 50, "wakeup-latency samples per blocking queue")
-		smoke    = flag.Bool("smoke-batch", false, "exit nonzero unless figure p2's batch=32 per-element throughput beats batch=1 for wCQ and SCQ (relative check, robust to host speed)")
-		loadsF   = flag.String("loads", "", "figure l1: comma-separated offered-load fractions of calibrated capacity (default 0.25,0.5,0.75,0.9,1.1)")
-		arrivalF = flag.String("arrival", "", "figure l1: inter-arrival process, poisson (default) or fixed")
-		gate     = flag.String("gate", "", "CI bench gate: compare this run's sub-saturation l1 points against the committed wcqbench/v1 file and exit nonzero on p99/footprint regression")
-		waitersF = flag.String("waiters", "", "figure w1: comma-separated waiter-count sweep (default 8,64,256,1024)")
-		smokeW   = flag.Bool("smoke-wait", false, "exit nonzero unless figure w1's adaptive strategy beats immediate park on wakeup p99 at the lowest waiter count and stays within throughput noise at the highest (relative same-run check)")
-	)
-	shared := clihelper.Register(flag.CommandLine, 1<<16)
-	flag.Parse()
+// bench is one parsed command line.
+type bench struct {
+	figs           []harness.Figure
+	opts           harness.RunOpts
+	record         string
+	jsonPath       string
+	gate           string
+	latencySamples int
+	gates          []relGate // the same-run gates switched on
+}
 
-	ringKind, err := shared.RingKind()
-	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(2)
+// parse turns the command line into a bench. Every usage error
+// surfaces here, before any figure runs (a malformed flag exits 2 in
+// the flag package itself).
+func parse(args []string) (*bench, error) {
+	fs := flag.NewFlagSet("wcqbench", flag.ExitOnError)
+	var ids []string
+	for _, f := range harness.Figures() {
+		ids = append(ids, f.ID)
 	}
-	opts := harness.RunOpts{
-		Ops:        *ops,
-		Reps:       *reps,
-		MaxThreads: *maxThr,
-		Shards:     shared.Shards,
-		Ring:       ringKind,
-		Batch:      shared.Batch,
-		Capacity:   shared.Capacity,
-		Emulate:    shared.Emulate,
-		Core:       shared.CoreOptions(),
-		Metrics:    shared.Metrics,
+	b := &bench{}
+	var (
+		figure   = fs.String("figure", "all", "figure id ("+strings.Join(ids, ", ")+") or 'all'")
+		ops      = fs.Int("ops", 200_000, "operations per measurement point (paper: 10,000,000)")
+		reps     = fs.Int("reps", 3, "repetitions per point (paper: 10)")
+		maxThr   = fs.Int("maxthreads", 0, "truncate the thread sweep (0 = full paper sweep)")
+		queuesF  = fs.String("queues", "", "comma-separated queue subset (default: figure's full line-up)")
+		loadsF   = fs.String("loads", "", "figure l1: comma-separated offered-load fractions of calibrated capacity (default 0.25,0.5,0.75,0.9,1.1)")
+		arrivalF = fs.String("arrival", "", "figure l1: inter-arrival process, poisson (default) or fixed")
+		waitersF = fs.String("waiters", "", "figure w1: comma-separated waiter-count sweep (default 8,64,256,1024)")
+	)
+	fs.StringVar(&b.record, "record", "", "append results as a markdown section to this file")
+	fs.StringVar(&b.jsonPath, "json", "", "write machine-readable results (wcqbench/v1) to this file, e.g. BENCH_queue.json")
+	fs.IntVar(&b.latencySamples, "latency-samples", 50, "wakeup-latency samples per blocking queue")
+	fs.StringVar(&b.gate, "gate", "", "CI bench gate: compare this run's sub-saturation l1 points against the committed wcqbench/v1 file and exit nonzero on p99/footprint regression")
+	on := make([]*bool, len(gates))
+	for i, g := range gates {
+		on[i] = fs.Bool(g.flag, false, g.usage)
 	}
-	if shared.Capacity == 1<<16 {
-		opts.Capacity = 0 // the default: let each figure use the paper's ring size
-	}
-	if *queuesF != "" {
-		opts.Queues = strings.Split(*queuesF, ",")
-	}
-	if opts.Loads, err = clihelper.ParseFloatList(*loadsF); err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(2)
-	}
-	if opts.Waiters, err = clihelper.ParseIntList(*waitersF); err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(2)
-	}
-	if *arrivalF != "" {
-		if opts.Arrival, err = harness.ParseArrival(*arrivalF); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(2)
+	shared := clihelper.Register(fs, 1<<16)
+	fs.Parse(args)
+	for i, g := range gates {
+		if *on[i] {
+			b.gates = append(b.gates, g)
 		}
 	}
 
-	var figs []harness.Figure
+	base, err := shared.Config(0)
+	if err != nil {
+		return nil, err
+	}
+	// Each figure keeps its own ring size unless -capacity was given,
+	// whatever its value.
+	capacitySet := false
+	fs.Visit(func(f *flag.Flag) { capacitySet = capacitySet || f.Name == "capacity" })
+	if !capacitySet {
+		base.Capacity = 0
+	}
+	b.opts = harness.RunOpts{Ops: *ops, Reps: *reps, MaxThreads: *maxThr, Batch: shared.Batch, Config: base}
+	if *queuesF != "" {
+		b.opts.Queues = strings.Split(*queuesF, ",")
+	}
+	loads, err := clihelper.ParseFloatList(*loadsF)
+	if err != nil {
+		return nil, err
+	}
+	waiters, err := clihelper.ParseIntList(*waitersF)
+	if err != nil {
+		return nil, err
+	}
+	arrival := harness.DefaultArrival
+	if *arrivalF != "" {
+		if arrival, err = harness.ParseArrival(*arrivalF); err != nil {
+			return nil, err
+		}
+	}
+
 	if *figure == "all" {
 		for _, f := range harness.Figures() {
 			// -blocking narrows "all" to the blocking figures, the same
 			// way -queue all narrows to the Chan facades in wcqstress.
-			if shared.Blocking && !f.Blocking {
-				continue
+			if !shared.Blocking || f.Blocking {
+				b.figs = append(b.figs, f.Resweep(loads, arrival, waiters))
 			}
-			figs = append(figs, f)
 		}
-	} else {
-		f, err := harness.FigureByID(*figure)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(2)
-		}
-		figs = []harness.Figure{f}
+		return b, nil
 	}
+	f, err := harness.FigureByID(*figure)
+	if err != nil {
+		return nil, err
+	}
+	b.figs = []harness.Figure{f.Resweep(loads, arrival, waiters)}
+	return b, nil
+}
 
+func main() {
+	b, err := parse(os.Args[1:])
+	if err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		os.Exit(2)
+	}
+	if err := b.run(os.Stdout); err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		os.Exit(1)
+	}
+}
+
+// run executes the figures, printing their tables to w, then writes
+// the -record and -json outputs and applies the gates; the error is a
+// failed gate or an unwritable output.
+func (b *bench) run(w io.Writer) error {
 	var md strings.Builder
 	fmt.Fprintf(&md, "\n## Run %s (GOMAXPROCS=%d, %d CPU)\n\n",
 		time.Now().Format(time.RFC3339), runtime.GOMAXPROCS(0), runtime.NumCPU())
-	fmt.Fprintf(&md, "ops/point=%d reps=%d\n\n", *ops, *reps)
+	fmt.Fprintf(&md, "ops/point=%d reps=%d\n\n", b.opts.Ops, b.opts.Reps)
 
-	jf := benchfmt.New(*ops, *reps)
+	jf := benchfmt.New(b.opts.Ops, b.opts.Reps)
 
-	for _, f := range figs {
+	for _, f := range b.figs {
 		start := time.Now()
-		pts := f.Run(opts)
-		f.Render(os.Stdout, pts, opts)
-		fmt.Printf("(%.1fs)\n\n", time.Since(start).Seconds())
-		for _, pt := range pts {
-			bp := benchfmt.Point{Figure: f.ID, Queue: pt.Queue, Threads: pt.Threads, Burst: pt.Burst}
-			switch {
-			case pt.Batch > 0:
-				// Batch-sweep figures (p2) stamp their own per-point size.
-				bp.Batch = pt.Batch
-			case !f.Blocking && len(f.Bursts) == 0 && len(f.Loads) == 0:
-				// The blocking, burst and open-loop workloads ignore
-				// -batch; stamping it here would record a batched run
-				// that never happened.
-				bp.Batch = shared.Batch
-			}
-			if pt.Err != nil {
-				bp.Err = pt.Err.Error()
-			} else {
-				bp.MopsMin = pt.Mops.Min
-				bp.MopsMean = pt.Mops.Mean
-				bp.MopsMax = pt.Mops.Max
-				bp.MemoryMB = pt.MemoryMB
-				bp.FootprintMB = pt.FootprintMB
-				bp.Load = pt.Load
-				bp.OfferedMops = pt.OfferedMops
-				bp.Latency = benchfmt.NewLatencyUS(pt.Latency)
-				bp.Wait = pt.Wait
-				bp.SpinHitRate = pt.SpinHitRate
-				bp.Producers = pt.Producers
-				bp.Consumers = pt.Consumers
-				bp.HandoffRate = pt.HandoffRate
-			}
-			jf.Points = append(jf.Points, bp)
-		}
-		if *record != "" {
+		pts := f.Run(b.opts)
+		f.Render(w, pts, b.opts)
+		fmt.Fprintf(w, "(%.1fs)\n\n", time.Since(start).Seconds())
+		jf.Points = append(jf.Points, pts...)
+		if b.record != "" {
 			md.WriteString("### Figure " + f.ID + ": " + f.Title + "\n\n```\n")
-			var sb strings.Builder
-			f.Render(&sb, pts, opts)
-			md.WriteString(sb.String())
+			f.Render(&md, pts, b.opts)
 			md.WriteString("```\n\n")
 		}
 		if f.Blocking {
-			reportWakeupLatency(f, opts, shared, *latSamp, &md, *record != "")
+			report := wakeupLatency(ranQueues(pts), b.opts.Config, b.latencySamples)
+			io.WriteString(w, report+"\n")
+			if b.record != "" {
+				md.WriteString("```\n" + report + "```\n\n")
+			}
 		}
 	}
 
-	if *record != "" {
-		fh, err := os.OpenFile(*record, os.O_APPEND|os.O_CREATE|os.O_WRONLY, 0o644)
+	if b.record != "" {
+		fh, err := os.OpenFile(b.record, os.O_APPEND|os.O_CREATE|os.O_WRONLY, 0o644)
 		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
+			return err
 		}
-		defer fh.Close()
-		if _, err := fh.WriteString(md.String()); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
+		_, err = fh.WriteString(md.String())
+		if cerr := fh.Close(); err == nil {
+			err = cerr
 		}
-		fmt.Printf("recorded to %s\n", *record)
+		if err != nil {
+			return err
+		}
+		fmt.Fprintf(w, "recorded to %s\n", b.record)
 	}
 
-	if *jsonPath != "" {
+	if b.jsonPath != "" {
 		out, err := json.MarshalIndent(jf, "", "  ")
 		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
+			return err
 		}
-		if err := os.WriteFile(*jsonPath, append(out, '\n'), 0o644); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
+		if err := os.WriteFile(b.jsonPath, append(out, '\n'), 0o644); err != nil {
+			return err
 		}
-		fmt.Printf("wrote %s (%d points)\n", *jsonPath, len(jf.Points))
+		fmt.Fprintf(w, "wrote %s (%d points)\n", b.jsonPath, len(jf.Points))
 	}
 
-	if *smoke {
-		if err := smokeBatch(jf.Points); err != nil {
-			fmt.Fprintln(os.Stderr, "smoke-batch FAIL:", err)
-			os.Exit(1)
+	for _, g := range b.gates {
+		if err := g.check(jf.Points); err != nil {
+			return fmt.Errorf("%s FAIL: %w", g.flag, err)
 		}
-		fmt.Println("smoke-batch ok: p2 batch=32 beats scalar for wCQ and SCQ")
+		fmt.Fprintf(w, "%s ok: %s\n", g.flag, g.ok)
 	}
 
-	if *smokeW {
-		if err := smokeWait(jf.Points); err != nil {
-			fmt.Fprintln(os.Stderr, "smoke-wait FAIL:", err)
-			os.Exit(1)
+	if b.gate != "" {
+		if err := benchGate(jf.Points, b.gate); err != nil {
+			return fmt.Errorf("bench-gate FAIL: %w", err)
 		}
-		fmt.Println("smoke-wait ok: adaptive wait beats park on p99 at low waiter counts and holds throughput at high")
+		fmt.Fprintln(w, "bench-gate ok: sub-saturation l1 latency and footprint within bounds of", b.gate)
 	}
+	return nil
+}
 
-	if *gate != "" {
-		if err := benchGate(jf.Points, *gate); err != nil {
-			fmt.Fprintln(os.Stderr, "bench-gate FAIL:", err)
-			os.Exit(1)
+// ranQueues lists the queues a figure run produced points for, in
+// run order.
+func ranQueues(pts []benchfmt.Point) []string {
+	var names []string
+	for i, p := range pts {
+		if i == 0 || p.Queue != pts[i-1].Queue {
+			names = append(names, p.Queue)
 		}
-		fmt.Println("bench-gate ok: sub-saturation l1 latency and footprint within bounds of", *gate)
 	}
+	return names
 }
 
 // Bench-gate tolerances. Latency fractions are the committed load
@@ -302,31 +320,7 @@ func benchGate(points []benchfmt.Point, path string) error {
 	return nil
 }
 
-// smokeBatch is the CI perf gate: on the same run (same host, same
-// load), the native batch=32 per-element throughput must strictly beat
-// the scalar (batch=1) path for both ring cores. Being relative to the
-// run itself, the check is robust to absolute host speed.
-func smokeBatch(points []benchfmt.Point) error {
-	mean := map[string]float64{}
-	for _, p := range points {
-		if p.Figure == "p2" && p.Err == "" {
-			mean[fmt.Sprintf("%s/%d", p.Queue, p.Batch)] = p.MopsMean
-		}
-	}
-	for _, q := range []string{"wCQ", "SCQ"} {
-		scalar, ok1 := mean[q+"/1"]
-		batched, ok2 := mean[q+"/32"]
-		if !ok1 || !ok2 {
-			return fmt.Errorf("%s: missing p2 points (run with -figure p2 or all)", q)
-		}
-		if batched <= scalar {
-			return fmt.Errorf("%s: batch=32 %.3f Mops/s <= scalar %.3f Mops/s", q, batched, scalar)
-		}
-	}
-	return nil
-}
-
-// smokeWait tolerances. At high waiter counts adaptive collapses to
+// smoke-wait tolerances. At high waiter counts adaptive collapses to
 // parking, so throughput should match the park baseline to within
 // run-to-run noise; 0.7 leaves headroom for a 1-vCPU CI runner. The
 // latency check allows a 2x factor plus an absolute floor (same shape
@@ -341,80 +335,135 @@ const (
 	smokeWaitP99FloorUS   = 25.0
 )
 
-// smokeWait is the wait-strategy CI gate: on the same w1 run, for each
-// queue, the adaptive (spin-then-park) strategy must deliver a
-// blocking-wait p99 no worse than the immediate-park baseline at the
-// LOWEST waiter count swept (where spinning should win outright), and
-// throughput within noise of the baseline at the HIGHEST (where
-// adaptation must have collapsed to parking instead of burning the CPU
-// the workers need). Relative to the run itself, so robust to host
-// speed.
-func smokeWait(points []benchfmt.Point) error {
+// A relGate is a same-run relative perf gate, switched on by its flag:
+// for each queue, a candidate point of one figure is held against a
+// baseline point of the same run, so the check is robust to absolute
+// host speed.
+type relGate struct {
+	flag, usage, ok string
+	figure          string
+	queues          []string // nil: every queue the figure ran
+	checks          []relCheck
+}
+
+// A relCheck compares the cand and base points of one queue at the
+// lowest thread count the figure swept (the highest with hi) against
+// the bound max(factor*base, floor): with p99 the candidate's wait
+// p99 must not exceed it, otherwise its mean Mops must exceed it.
+type relCheck struct {
+	cand, base pick
+	hi         bool
+	p99        bool
+	factor     float64
+	floor      float64
+}
+
+// A pick names a point of a queue by its sweep fields.
+type pick struct {
+	batch int
+	wait  string
+}
+
+func (p pick) String() string {
+	if p.wait != "" {
+		return p.wait
+	}
+	return fmt.Sprintf("batch=%d", p.batch)
+}
+
+// gates is every same-run gate wcqbench knows.
+var gates = []relGate{
+	{
+		flag:   "smoke-batch",
+		usage:  "exit nonzero unless figure p2's batch=32 per-element throughput beats batch=1 for wCQ and SCQ (relative check, robust to host speed)",
+		ok:     "p2 batch=32 beats scalar for wCQ and SCQ",
+		figure: "p2",
+		queues: []string{"wCQ", "SCQ"},
+		checks: []relCheck{{cand: pick{batch: 32}, base: pick{batch: 1}, factor: 1}},
+	},
+	{
+		flag:   "smoke-wait",
+		usage:  "exit nonzero unless figure w1's adaptive strategy beats immediate park on wakeup p99 at the lowest waiter count and stays within throughput noise at the highest (relative same-run check)",
+		ok:     "adaptive wait beats park on p99 at low waiter counts and holds throughput at high",
+		figure: "w1",
+		checks: []relCheck{
+			{cand: pick{wait: "adaptive"}, base: pick{wait: "park"}, p99: true,
+				factor: smokeWaitP99Factor, floor: smokeWaitP99FloorUS},
+			{cand: pick{wait: "adaptive"}, base: pick{wait: "park"}, hi: true, factor: smokeWaitMopsFraction},
+		},
+	},
+}
+
+// check runs the gate over this run's points.
+func (g relGate) check(points []benchfmt.Point) error {
 	type key struct {
-		queue, wait string
-		waiters     int
+		queue   string
+		pick    pick
+		threads int
 	}
 	pts := map[key]benchfmt.Point{}
-	queues := map[string]bool{}
+	ran := map[string]bool{}
 	lo, hi := 0, 0
 	for _, p := range points {
-		if p.Figure != "w1" || p.Err != "" {
+		if p.Figure != g.figure || p.Err != "" {
 			continue
 		}
-		pts[key{p.Queue, p.Wait, p.Threads}] = p
-		queues[p.Queue] = true
+		pts[key{p.Queue, pick{p.Batch, p.Wait}, p.Threads}] = p
+		ran[p.Queue] = true
 		if lo == 0 || p.Threads < lo {
 			lo = p.Threads
 		}
-		if p.Threads > hi {
-			hi = p.Threads
-		}
+		hi = max(hi, p.Threads)
 	}
 	if len(pts) == 0 {
-		return fmt.Errorf("no w1 points in this run (run with -figure w1 or all)")
+		return fmt.Errorf("no %s points in this run (run with -figure %s or all)", g.figure, g.figure)
 	}
-	for q := range queues {
-		pLo, ok1 := pts[key{q, "park", lo}]
-		aLo, ok2 := pts[key{q, "adaptive", lo}]
-		pHi, ok3 := pts[key{q, "park", hi}]
-		aHi, ok4 := pts[key{q, "adaptive", hi}]
-		if !ok1 || !ok2 || !ok3 || !ok4 {
-			return fmt.Errorf("%s: missing park/adaptive points at %d or %d waiters", q, lo, hi)
+	qs := g.queues
+	if qs == nil {
+		for q := range ran {
+			qs = append(qs, q)
 		}
-		if pLo.Latency == nil || aLo.Latency == nil {
-			return fmt.Errorf("%s: w1 points at %d waiters carry no wait ladder", q, lo)
-		}
-		bound := smokeWaitP99Factor * pLo.Latency.P99
-		if bound < smokeWaitP99FloorUS {
-			bound = smokeWaitP99FloorUS
-		}
-		if aLo.Latency.P99 > bound {
-			return fmt.Errorf("%s @ %d waiters: adaptive wait p99 %.1fµs > park baseline %.1fµs (bound %.1fµs)",
-				q, lo, aLo.Latency.P99, pLo.Latency.P99, bound)
-		}
-		if aHi.MopsMean < smokeWaitMopsFraction*pHi.MopsMean {
-			return fmt.Errorf("%s @ %d waiters: adaptive %.3f Mops/s < %.0f%% of park %.3f Mops/s",
-				q, hi, aHi.MopsMean, smokeWaitMopsFraction*100, pHi.MopsMean)
+		sort.Strings(qs)
+	}
+	for _, q := range qs {
+		for _, c := range g.checks {
+			threads := lo
+			if c.hi {
+				threads = hi
+			}
+			cand, ok1 := pts[key{q, c.cand, threads}]
+			base, ok2 := pts[key{q, c.base, threads}]
+			if !ok1 || !ok2 {
+				return fmt.Errorf("%s: missing %s points for %s or %s at %d threads", q, g.figure, c.cand, c.base, threads)
+			}
+			if c.p99 {
+				if cand.Latency == nil || base.Latency == nil {
+					return fmt.Errorf("%s: %s points at %d threads carry no wait ladder", q, g.figure, threads)
+				}
+				if bound := max(c.factor*base.Latency.P99, c.floor); cand.Latency.P99 > bound {
+					return fmt.Errorf("%s @ %d threads: %s wait p99 %.1fµs > %s %.1fµs (bound %.1fµs)",
+						q, threads, c.cand, cand.Latency.P99, c.base, base.Latency.P99, bound)
+				}
+			} else if bound := max(c.factor*base.MopsMean, c.floor); cand.MopsMean <= bound {
+				return fmt.Errorf("%s @ %d threads: %s %.3f Mops/s does not beat %g x %s %.3f Mops/s",
+					q, threads, c.cand, cand.MopsMean, c.factor, c.base, base.MopsMean)
+			}
 		}
 	}
 	return nil
 }
 
-// reportWakeupLatency prints (and optionally records) the parked-Recv
-// wakeup latency for each queue of a blocking figure — the companion
-// metric to figure b1's throughput sweep.
-func reportWakeupLatency(f harness.Figure, opts harness.RunOpts, shared *clihelper.Flags, samples int, md *strings.Builder, record bool) {
-	names := f.Queues
-	if len(opts.Queues) > 0 {
-		names = opts.Queues
-	}
+// wakeupLatency reports the parked-Recv wakeup latency of each queue
+// a blocking figure ran — the companion metric to figure b1's
+// throughput sweep.
+func wakeupLatency(names []string, base queues.Config, samples int) string {
 	var sb strings.Builder
 	fmt.Fprintf(&sb, "Wakeup latency (parked Recv -> Send, %d samples, µs):\n", samples)
 	for _, name := range names {
-		cfg, err := shared.Config(4)
-		if err != nil {
-			fmt.Fprintf(&sb, "%-16s n/a (%v)\n", name, err)
-			continue
+		cfg := base
+		cfg.MaxThreads = 4
+		if cfg.Metrics != nil {
+			cfg.Metrics = metrics.New()
 		}
 		hist, err := harness.WakeupLatency(name, cfg, samples)
 		if err != nil {
@@ -425,8 +474,5 @@ func reportWakeupLatency(f harness.Figure, opts harness.RunOpts, shared *clihelp
 		fmt.Fprintf(&sb, "%-16s p50 %.1f  p90 %.1f  p99 %.1f  p99.9 %.1f  max %.1f\n",
 			name, us(0.50), us(0.90), us(0.99), us(0.999), float64(hist.Max)/1e3)
 	}
-	fmt.Print(sb.String() + "\n")
-	if record {
-		md.WriteString("```\n" + sb.String() + "```\n\n")
-	}
+	return sb.String()
 }

@@ -33,9 +33,11 @@ type File struct {
 	Points     []Point `json:"points"`
 }
 
-// Point is one measurement. The bench keys points by
-// (figure, queue, threads[, batch|burst]); wcqstress stamps the
-// figure "live" and reuses the same axes for each verified round.
+// Point is one measurement, and the type the harness's sweep engine
+// returns. The bench keys points by figure, queue and the sweep case
+// (threads, batch, burst, load, wait, producers/consumers); wcqstress
+// stamps the figure "live" and reuses the same axes for each verified
+// round.
 type Point struct {
 	Figure   string  `json:"figure"`
 	Queue    string  `json:"queue"`
@@ -51,7 +53,7 @@ type Point struct {
 	MemoryMB float64 `json:"memory_mb,omitempty"`
 	// FootprintMB is the queue's own Footprint() after the run: the
 	// real summed allocation of the sharded compositions and the
-	// post-run retention of the unbounded queues (see harness.Point).
+	// post-run retention of the unbounded queues.
 	FootprintMB float64 `json:"footprint_mb,omitempty"`
 	// Load is the offered-load fraction of the queue's calibrated
 	// closed-loop capacity (open-loop figure l1 points only; 0

@@ -69,32 +69,25 @@ func Register(fs *flag.FlagSet, defaultCapacity uint64) *Flags {
 	return f
 }
 
-// RingKind resolves the -ring flag to a ringcore.Kind (wCQ when the
-// flag is unset); an unknown name is a usage error.
-func (f *Flags) RingKind() (ringcore.Kind, error) {
-	if f.Ring == "" {
-		return ringcore.KindWCQ, nil
-	}
-	k, err := ringcore.KindByName(f.Ring)
-	if err != nil {
-		return 0, fmt.Errorf("-ring: %w", err)
-	}
-	return k, nil
-}
-
 // Config translates the flag values into a queues.Config with the
 // given handle budget. The error is a usage error (e.g. an unknown
 // -ring kind).
 func (f *Flags) Config(maxThreads int) (queues.Config, error) {
-	kind, err := f.RingKind()
-	if err != nil {
-		return queues.Config{}, err
-	}
 	cfg := queues.Config{
 		Capacity:   f.Capacity,
 		MaxThreads: maxThreads,
 		Shards:     f.Shards,
-		Ring:       kind,
+		Ring:       ringcore.KindWCQ,
+	}
+	if f.Ring != "" {
+		k, err := ringcore.KindByName(f.Ring)
+		if err != nil {
+			return queues.Config{}, fmt.Errorf("-ring: %w", err)
+		}
+		cfg.Ring = k
+	}
+	if f.Slowpath {
+		cfg.Core = &ringcore.Options{EnqPatience: 1, DeqPatience: 1, HelpDelay: 1}
 	}
 	if f.Emulate {
 		cfg.Mode = atomicx.EmulatedFAA
@@ -109,17 +102,7 @@ func (f *Flags) Config(maxThreads int) (queues.Config, error) {
 		}
 		cfg.Wait = w
 	}
-	cfg.Core = f.CoreOptions()
 	return cfg, nil
-}
-
-// CoreOptions returns the ring-core tuning implied by the flags (nil
-// when the defaults apply).
-func (f *Flags) CoreOptions() *ringcore.Options {
-	if !f.Slowpath {
-		return nil
-	}
-	return &ringcore.Options{EnqPatience: 1, DeqPatience: 1, HelpDelay: 1}
 }
 
 // ParseFloatList parses a comma-separated list of positive floats —

@@ -1,7 +1,6 @@
 package harness
 
 import (
-	"fmt"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -12,23 +11,8 @@ import (
 	"repro/internal/stats"
 )
 
-// BurstSplit derives the producer/consumer role split for the burst
-// workload: half the goroutines produce, half consume (minimum one of
-// each), since both phases run the full population.
-func BurstSplit(threads int) (producers, consumers int) {
-	producers = threads / 2
-	if producers < 1 {
-		producers = 1
-	}
-	consumers = threads - producers
-	if consumers < 1 {
-		consumers = 1
-	}
-	return producers, consumers
-}
-
 // runBurstOnce drives one burst/drain cycle against a fresh queue:
-// producers enqueue `burst` values as fast as they can (an unbounded
+// producers enqueue opts.Burst values as fast as they can (an unbounded
 // queue absorbs all of them; a bounded one would shed), the peak
 // Footprint is sampled at the top of the burst, and consumers then
 // drain the queue empty. Each transferred value counts as two
@@ -37,8 +21,9 @@ func BurstSplit(threads int) (producers, consumers int) {
 // trade the unbounded queues make — absorb any burst, pay for it in
 // live ring memory — and how the ring pool caps the cost once the
 // burst drains.
-func runBurstOnce(name string, cfg queues.Config, burst int, opts PointOpts) (mops, memMB, fpMB float64, err error) {
-	producers, consumers := BurstSplit(opts.Threads)
+func runBurstOnce(name string, cfg queues.Config, opts PointOpts) (mops, memMB, fpMB float64, err error) {
+	// Half produce, half consume: both phases run the full population.
+	producers, consumers := OpenLoopSplit(opts.Threads)
 	if cfg.MaxThreads < producers+consumers+1 {
 		cfg.MaxThreads = producers + consumers + 1
 	}
@@ -47,7 +32,7 @@ func runBurstOnce(name string, cfg queues.Config, burst int, opts PointOpts) (mo
 		return 0, 0, 0, err
 	}
 
-	perProducer := burst / producers
+	perProducer := opts.Burst / producers
 	if perProducer == 0 {
 		perProducer = 1
 	}
@@ -108,32 +93,4 @@ func runBurstOnce(name string, cfg queues.Config, burst int, opts PointOpts) (mo
 	// Post-drain retention: with the burst gone, Footprint shows what
 	// the ring pool keeps — the bounded-memory half of the story.
 	return stats.Mops(2*total, elapsed), memMB, footprintMB(q), nil
-}
-
-// FormatBurstPoints renders a burst figure's results: one row per
-// burst size, and per queue a throughput and a peak-memory column —
-// both axes of the absorb-vs-retain trade in one table.
-func FormatBurstPoints(pts []Point, bursts []int, queueNames []string) string {
-	byKey := map[string]Point{}
-	for _, p := range pts {
-		byKey[fmt.Sprintf("%s/%d", p.Queue, p.Burst)] = p
-	}
-	out := "burst"
-	for _, q := range queueNames {
-		out += fmt.Sprintf("\t%s Mops\t%s peakMB", q, q)
-	}
-	out += "\n"
-	for _, b := range bursts {
-		out += fmt.Sprintf("%d", b)
-		for _, q := range queueNames {
-			p, ok := byKey[fmt.Sprintf("%s/%d", q, b)]
-			if !ok || p.Err != nil {
-				out += "\tn/a\tn/a"
-				continue
-			}
-			out += fmt.Sprintf("\t%.3f\t%.3f", p.Mops.Mean, p.MemoryMB)
-		}
-		out += "\n"
-	}
-	return out
 }

@@ -3,59 +3,144 @@ package harness
 import (
 	"fmt"
 	"io"
-	"sort"
+	"strconv"
+	"strings"
 
 	"repro/internal/atomicx"
+	"repro/internal/backoff"
+	"repro/internal/benchfmt"
 	"repro/internal/metrics"
 	"repro/internal/queues"
-	"repro/internal/ringcore"
-	"repro/internal/stats"
 )
 
+// Case is one point of a figure's sweep: the goroutine count and
+// whatever else the figure varies. A case with a Burst runs the
+// burst/drain engine, one with a Load the open-loop engine; the rest
+// run the figure's closed-loop or blocking workload.
+type Case struct {
+	Threads int
+	Burst   int     // values per burst/drain cycle (u1)
+	Batch   int     // batch size; > 1 drives the native batch path (p2, -batch)
+	Load    float64 // offered load as a fraction of calibrated capacity (l1)
+	Arrival Arrival // inter-arrival process of an open-loop case
+	Wait    string  // blocking-wait strategy, backoff.ByName vocabulary (w1)
+	// Producers/Consumers pin the blocking role split (h1); zero
+	// derives it from Threads.
+	Producers int
+	Consumers int
+}
+
 // Figure describes one plot of the paper's evaluation (§6) and how to
-// regenerate it.
+// regenerate it: the queues it compares and the list of cases it runs
+// each of them at.
 type Figure struct {
 	ID       string // e.g. "11b"
 	Title    string
 	Workload Workload
-	Threads  []int
 	Mode     atomicx.Mode
 	Queues   []string
+	Cases    []Case
 	Delays   bool // tiny random delays (memory test)
 	Memory   bool // report MB instead of Mops
 	Blocking bool // drive the blocking Send/Recv/Close surface (Chan facades)
-	// Bursts makes this a burst/drain figure (u1): the sweep axis is
-	// burst size at a fixed thread count (Threads[0]), and every point
-	// reports throughput AND peak live Footprint.
-	Bursts []int
-	// Batches makes this a batch-sweep figure (p2): the sweep axis is
-	// batch size at a fixed thread count (Threads[0]). Batch size 1 is
-	// the scalar loop; larger sizes drive the native batch reservation
-	// path. Mops stays per-element, so the column reads directly as
-	// the amortization win.
-	Batches []int
-	// Loads makes this an open-loop latency figure (l1): the sweep axis
-	// is offered load as a fraction of each queue's calibrated
-	// closed-loop capacity, at a fixed thread count (Threads[0]).
-	// Points carry the CO-safe latency ladder; the knee sits at 1.0 by
-	// construction, so the same fractions are comparable across queues
-	// and hosts of any speed.
-	Loads []float64
-	// Arrival is the inter-arrival process for open-loop figures.
-	Arrival Arrival
-	// Waiters makes this a wait-strategy figure (w1): the sweep axis is
-	// the total blocking-goroutine count (1:3 send/recv split), crossed
-	// with one line per strategy in Waits. Points carry the blocking
-	// wait ladder and the spin-hit rate.
-	Waiters []int
-	// Waits lists the wait-strategy names a Waiters figure sweeps
-	// ("park", "adaptive" — backoff.ByName vocabulary).
-	Waits []string
-	// Splits makes this a handoff figure (h1): the sweep axis is the
-	// explicit {producers, consumers} blocking role split. Points carry
-	// the blocking wait ladder and the handoff hit rate.
-	Splits [][2]int
+	// capacity is the ring size per queue (nil: the paper's 2^16).
+	capacity func(queue string) uint64
+	// ladder gives every point its own metrics sink and reports its
+	// blocking-wait ladder, plus the spin-hit rate of a case that pins
+	// a wait strategy and the handoff rate of one that pins a split.
+	ladder bool
+	// warmup runs one untimed pass per queue before its first case.
+	warmup bool
+	table  layout
 }
+
+// layout is how a figure's table reads: one row per case, and per
+// queue the columns in cols.
+type layout struct {
+	row   string                    // header of the row-label column
+	label func(Case) string         // a case's row label
+	cols  []column                  // per-queue columns
+	note  func(Figure, Case) string // the title's parenthetical, from the first case
+	// clamp marks a fixed-thread figure: -maxthreads lowers each
+	// case's thread count instead of dropping the case.
+	clamp bool
+}
+
+// column is one per-queue column: its header (appended to the queue
+// name) and its cell.
+type column struct {
+	head string
+	cell func(benchfmt.Point) string
+}
+
+func mopsCell(p benchfmt.Point) string { return fmt.Sprintf("%.3f", p.MopsMean) }
+
+// ladderCell prints one rung of a point's latency ladder in µs.
+func ladderCell(rung func(*benchfmt.LatencyUS) float64) func(benchfmt.Point) string {
+	return func(p benchfmt.Point) string {
+		if p.Latency == nil {
+			return "n/a"
+		}
+		return fmt.Sprintf("%.1f", rung(p.Latency))
+	}
+}
+
+var (
+	ladderCols = []column{
+		{" Mops/s", mopsCell},
+		{" p50(µs)", ladderCell(func(l *benchfmt.LatencyUS) float64 { return l.P50 })},
+		{" p99(µs)", ladderCell(func(l *benchfmt.LatencyUS) float64 { return l.P99 })},
+		{" max(µs)", ladderCell(func(l *benchfmt.LatencyUS) float64 { return l.Max })},
+	}
+	byThreads = layout{
+		row:   "threads",
+		label: func(c Case) string { return strconv.Itoa(c.Threads) },
+		cols:  []column{{"", mopsCell}},
+		note:  func(f Figure, _ Case) string { return fmt.Sprintf("%s workload, %s", f.Workload, f.Mode) },
+	}
+	byBurst = layout{
+		row:   "burst",
+		label: func(c Case) string { return strconv.Itoa(c.Burst) },
+		cols: []column{{" Mops", mopsCell},
+			{" peakMB", func(p benchfmt.Point) string { return fmt.Sprintf("%.3f", p.MemoryMB) }}},
+		note:  func(f Figure, c Case) string { return fmt.Sprintf("%d threads, %s", c.Threads, f.Mode) },
+		clamp: true,
+	}
+	byBatch = layout{
+		row:   "batch",
+		label: func(c Case) string { return strconv.Itoa(c.Batch) },
+		cols:  []column{{"", mopsCell}},
+		note: func(f Figure, c Case) string {
+			return fmt.Sprintf("%d threads, %s workload, %s", c.Threads, f.Workload, f.Mode)
+		},
+		clamp: true,
+	}
+	byLoad = layout{
+		row:   "load",
+		label: func(c Case) string { return fmt.Sprintf("%.2f", c.Load) },
+		cols: []column{{" p99(µs)", ladderCell(func(l *benchfmt.LatencyUS) float64 { return l.P99 })},
+			{" Mxfer/s", mopsCell}},
+		note: func(f Figure, c Case) string {
+			p, q := OpenLoopSplit(c.Threads)
+			return fmt.Sprintf("%d producers / %d consumers, %s arrivals, %s", p, q, c.Arrival, f.Mode)
+		},
+		clamp: true,
+	}
+	byWaiters = layout{
+		row:   "wait/waiters",
+		label: func(c Case) string { return fmt.Sprintf("%s/%d", c.Wait, c.Threads) },
+		cols: append(ladderCols[:len(ladderCols):len(ladderCols)],
+			column{" spin-hit", func(p benchfmt.Point) string { return fmt.Sprintf("%.2f", p.SpinHitRate) }}),
+		note: func(f Figure, _ Case) string { return fmt.Sprintf("1:3 send/recv split, %s", f.Mode) },
+	}
+	bySplit = layout{
+		row:   "split",
+		label: func(c Case) string { return fmt.Sprintf("%d:%d", c.Producers, c.Consumers) },
+		cols: append(ladderCols[:len(ladderCols):len(ladderCols)],
+			column{" hit-rate", func(p benchfmt.Point) string { return fmt.Sprintf("%.2f", p.HandoffRate) }}),
+		note: func(f Figure, _ Case) string { return f.Mode.String() },
+	}
+)
 
 // Thread sweeps from the paper: x86 peaks at one 18-core socket then
 // oversubscribes; PowerPC uses 64 logical cores.
@@ -97,71 +182,157 @@ var (
 	loadFractions  = []float64{0.25, 0.5, 0.75, 0.9, 1.1}
 )
 
+// Figure w1 compares blocking-wait strategies under waiter pressure:
+// the same 1:3 send/recv blocking workload as b1, swept over the
+// TOTAL goroutine count (far past GOMAXPROCS, so "waiters" is the
+// honest axis name) with one line per wait strategy. Each point
+// reports throughput, the blocking-wait latency ladder (spin-phase
+// hits and futex parks share one histogram, so strategies are
+// directly comparable), and the spin-hit rate the adaptive budget
+// converged to.
+var (
+	waitQueues     = []string{"Chan", "ChanSharded"}
+	waiterCounts   = []int{8, 64, 256, 1024}
+	waitStrategies = []string{"park", "adaptive"}
+	// waitRingCap keeps w1's rings small: the figure is about waiting,
+	// not buffering, and a small ring makes the full/empty transitions
+	// (hence the waits) frequent at every waiter count. At 4096 slots a
+	// short run barely blocks at all and the wait ladder degenerates to
+	// a handful of close-drain samples.
+	waitRingCap = uint64(1 << 6)
+)
+
+// Figure h1 measures the direct handoff: the same blocking workload
+// as b1/w1, but with the producer:consumer role split pinned
+// explicitly and swept from receiver-heavy (where senders find parked
+// receivers and the rendezvous fast path fires constantly) to
+// sender-heavy (where the symmetric takeover path carries the load).
+// Each point reports throughput, the blocking-wait ladder (the
+// wakeup-latency axis a landed handoff shortens), and the handoff hit
+// rate — the fraction of attempts that moved a value past the ring.
+var (
+	handoffQueues = []string{"Chan", "ChanSharded"}
+	// handoffSplits sweeps the imbalance at 8 total goroutines: 1:7 and
+	// 2:6 are receiver-heavy (the rendezvous sweet spot), 4:4 balanced,
+	// 6:2 sender-heavy (the takeover side).
+	handoffSplits = [][2]int{{1, 7}, {2, 6}, {4, 4}, {6, 2}}
+)
+
+// handoffRingCap pins h1's ring nearly shut: the figure is about
+// rendezvous at the empty/full boundaries, and with only a handful of
+// slots every transferred value interacts with a boundary — parked
+// peers on both sides, which is exactly the regime the handoff path
+// exists for. A deeper ring (w1's 64, say) lets the workload cruise
+// through the buffer in ring-only bursts and the handoff path barely
+// runs. The sharded queue gets double: its capacity divides
+// across shards, and each shard ring needs at least two slots.
+func handoffRingCap(queue string) uint64 {
+	if queue == "ChanSharded" {
+		return 1 << 3
+	}
+	return 1 << 2
+}
+
+// ringCap is a capacity function that gives every queue the same size.
+func ringCap(n uint64) func(string) uint64 { return func(string) uint64 { return n } }
+
+// threadCases is a thread sweep: one case per goroutine count.
+func threadCases(threads []int) []Case {
+	cs := make([]Case, len(threads))
+	for i, t := range threads {
+		cs[i] = Case{Threads: t}
+	}
+	return cs
+}
+
 // Figures returns every figure of the evaluation in paper order.
 func Figures() []Figure {
+	var bursts, batches, loads, waits, splits []Case
+	for _, b := range burstSizes {
+		bursts = append(bursts, Case{Threads: 4, Burst: b})
+	}
+	for _, b := range batchSizes {
+		batches = append(batches, Case{Threads: 4, Batch: b})
+	}
+	for _, l := range loadFractions {
+		loads = append(loads, Case{Threads: 4, Load: l, Arrival: Poisson})
+	}
+	for _, w := range waitStrategies {
+		for _, n := range waiterCounts {
+			waits = append(waits, Case{Threads: n, Wait: w})
+		}
+	}
+	for _, s := range handoffSplits {
+		splits = append(splits, Case{Threads: s[0] + s[1], Producers: s[0], Consumers: s[1]})
+	}
 	return []Figure{
-		{ID: "10a", Title: "Memory usage, x86 (MB)", Workload: Mixed, Threads: x86Threads,
-			Mode: atomicx.NativeFAA, Queues: x86Queues, Delays: true, Memory: true},
-		{ID: "10b", Title: "Memory test throughput, x86 (Mops/s)", Workload: Mixed, Threads: x86Threads,
-			Mode: atomicx.NativeFAA, Queues: x86Queues, Delays: true},
-		{ID: "11a", Title: "Empty dequeue, x86 (Mops/s)", Workload: EmptyDeq, Threads: x86Threads,
-			Mode: atomicx.NativeFAA, Queues: x86Queues},
-		{ID: "11b", Title: "Pairwise enqueue-dequeue, x86 (Mops/s)", Workload: Pairwise, Threads: x86Threads,
-			Mode: atomicx.NativeFAA, Queues: x86Queues},
-		{ID: "11c", Title: "50%/50% enqueue-dequeue, x86 (Mops/s)", Workload: Mixed, Threads: x86Threads,
-			Mode: atomicx.NativeFAA, Queues: x86Queues},
-		{ID: "12a", Title: "Empty dequeue, emulated PowerPC (Mops/s)", Workload: EmptyDeq, Threads: ppcThreads,
-			Mode: atomicx.EmulatedFAA, Queues: ppcQueues},
-		{ID: "12b", Title: "Pairwise enqueue-dequeue, emulated PowerPC (Mops/s)", Workload: Pairwise, Threads: ppcThreads,
-			Mode: atomicx.EmulatedFAA, Queues: ppcQueues},
-		{ID: "12c", Title: "50%/50% enqueue-dequeue, emulated PowerPC (Mops/s)", Workload: Mixed, Threads: ppcThreads,
-			Mode: atomicx.EmulatedFAA, Queues: ppcQueues},
+		{ID: "10a", Title: "Memory usage, x86 (MB)", Workload: Mixed, Cases: threadCases(x86Threads),
+			Mode: atomicx.NativeFAA, Queues: x86Queues, Delays: true, Memory: true, table: byThreads},
+		{ID: "10b", Title: "Memory test throughput, x86 (Mops/s)", Workload: Mixed, Cases: threadCases(x86Threads),
+			Mode: atomicx.NativeFAA, Queues: x86Queues, Delays: true, table: byThreads},
+		{ID: "11a", Title: "Empty dequeue, x86 (Mops/s)", Workload: EmptyDeq, Cases: threadCases(x86Threads),
+			Mode: atomicx.NativeFAA, Queues: x86Queues, table: byThreads},
+		{ID: "11b", Title: "Pairwise enqueue-dequeue, x86 (Mops/s)", Workload: Pairwise, Cases: threadCases(x86Threads),
+			Mode: atomicx.NativeFAA, Queues: x86Queues, table: byThreads},
+		{ID: "11c", Title: "50%/50% enqueue-dequeue, x86 (Mops/s)", Workload: Mixed, Cases: threadCases(x86Threads),
+			Mode: atomicx.NativeFAA, Queues: x86Queues, table: byThreads},
+		{ID: "12a", Title: "Empty dequeue, emulated PowerPC (Mops/s)", Workload: EmptyDeq, Cases: threadCases(ppcThreads),
+			Mode: atomicx.EmulatedFAA, Queues: ppcQueues, table: byThreads},
+		{ID: "12b", Title: "Pairwise enqueue-dequeue, emulated PowerPC (Mops/s)", Workload: Pairwise, Cases: threadCases(ppcThreads),
+			Mode: atomicx.EmulatedFAA, Queues: ppcQueues, table: byThreads},
+		{ID: "12c", Title: "50%/50% enqueue-dequeue, emulated PowerPC (Mops/s)", Workload: Mixed, Cases: threadCases(ppcThreads),
+			Mode: atomicx.EmulatedFAA, Queues: ppcQueues, table: byThreads},
 		// Beyond the paper: the sharded composition against the
 		// single-ring queues it is built from (use -shards / -batch to
 		// sweep the new dimensions).
-		{ID: "s1", Title: "Sharded scale-out, pairwise (Mops/s)", Workload: Pairwise, Threads: x86Threads,
-			Mode: atomicx.NativeFAA, Queues: scaleQueues},
-		{ID: "s2", Title: "Sharded scale-out, 50%/50% (Mops/s)", Workload: Mixed, Threads: x86Threads,
-			Mode: atomicx.NativeFAA, Queues: scaleQueues},
+		{ID: "s1", Title: "Sharded scale-out, pairwise (Mops/s)", Workload: Pairwise, Cases: threadCases(x86Threads),
+			Mode: atomicx.NativeFAA, Queues: scaleQueues, table: byThreads},
+		{ID: "s2", Title: "Sharded scale-out, 50%/50% (Mops/s)", Workload: Mixed, Cases: threadCases(x86Threads),
+			Mode: atomicx.NativeFAA, Queues: scaleQueues, table: byThreads},
 		// Blocking facade: throughput under a 1:3 producer:consumer
 		// imbalance where idle consumers park instead of spinning
 		// (cmd/wcqbench -blocking also reports wakeup latency).
-		{ID: "b1", Title: "Blocking Chan, imbalanced 1:3 send/recv (Mops/s)", Workload: Pairwise, Threads: blockingThreads,
-			Mode: atomicx.NativeFAA, Queues: blockingQueues, Blocking: true},
+		{ID: "b1", Title: "Blocking Chan, imbalanced 1:3 send/recv (Mops/s)", Workload: Pairwise, Cases: threadCases(blockingThreads),
+			Mode: atomicx.NativeFAA, Queues: blockingQueues, Blocking: true, table: byThreads},
 		// Unbounded burst absorption: enqueue a burst, sample the peak
 		// live Footprint, drain. Sweeps burst size (not threads) and
 		// reports both throughput and peak memory per point.
 		{ID: "u1", Title: "Unbounded burst/drain: throughput and peak footprint vs burst size", Workload: Pairwise,
-			Threads: []int{4}, Mode: atomicx.NativeFAA, Queues: unboundedQueues, Bursts: burstSizes},
+			Cases: bursts, Mode: atomicx.NativeFAA, Queues: unboundedQueues,
+			capacity: ringCap(burstRingCap), table: byBurst}, // per-ring for the unbounded line-up
 		// Native batch reservation: per-element throughput vs batch
 		// size. Batch 1 is the scalar path; the larger sizes pay one
-		// Head/Tail F&A per batch instead of one per element.
+		// Head/Tail F&A per batch instead of one per element, and Mops
+		// counts elements, so the column reads as the amortization win.
 		{ID: "p2", Title: "Native batch reservation: per-element throughput vs batch size (Mops/s)", Workload: Pairwise,
-			Threads: []int{4}, Mode: atomicx.NativeFAA, Queues: batchQueues, Batches: batchSizes},
+			Cases: batches, Mode: atomicx.NativeFAA, Queues: batchQueues, table: byBatch},
 		// Open-loop latency vs offered load: Poisson arrivals at a
 		// fraction of each queue's calibrated capacity, latency charged
-		// from intended send time (coordinated-omission-safe). The p99
-		// inflection as load crosses 1.0 is the saturation knee.
+		// from intended send time (coordinated-omission-safe). The knee
+		// sits at 1.0 by construction, so the same fractions are
+		// comparable across queues and hosts of any speed.
 		{ID: "l1", Title: "Open-loop latency vs offered load (µs, CO-safe)", Workload: Pairwise,
-			Threads: []int{4}, Mode: atomicx.NativeFAA, Queues: openLoopQueues,
-			Loads: loadFractions, Arrival: Poisson},
+			Cases: loads, Mode: atomicx.NativeFAA, Queues: openLoopQueues, table: byLoad},
 		// Wait strategies under waiter pressure: immediate park vs
 		// adaptive spin-then-park, from a handful of goroutines to deep
 		// oversubscription, with the blocking-wait ladder and spin-hit
 		// rate per point.
 		{ID: "w1", Title: "Wait strategies vs waiter count: throughput, wait ladder, spin-hit rate", Workload: Pairwise,
-			Threads: []int{8}, Mode: atomicx.NativeFAA, Queues: waitQueues, Blocking: true,
-			Waiters: waiterCounts, Waits: waitStrategies},
+			Cases: waits, Mode: atomicx.NativeFAA, Queues: waitQueues, Blocking: true,
+			capacity: ringCap(waitRingCap), ladder: true, table: byWaiters},
 		// Direct handoff: the same blocking workload swept over the
 		// producer:consumer imbalance. Points carry the wait ladder
-		// (wakeup latency) and the handoff hit rate.
+		// (wakeup latency) and the handoff hit rate. Each queue gets
+		// one untimed warmup run: the first runs in a fresh process
+		// land 10-15% low (heap growth, scheduler warmup), and without
+		// it that penalty falls entirely on the first split.
 		{ID: "h1", Title: "Direct handoff vs producer:consumer imbalance: throughput, wait ladder, hit rate", Workload: Pairwise,
-			Threads: []int{8}, Mode: atomicx.NativeFAA, Queues: handoffQueues, Blocking: true,
-			Splits: handoffSplits},
+			Cases: splits, Mode: atomicx.NativeFAA, Queues: handoffQueues, Blocking: true,
+			capacity: handoffRingCap, ladder: true, warmup: true, table: bySplit},
 	}
 }
 
-// FigureByID looks a figure up ("10a" ... "12c").
+// FigureByID looks a figure up ("10a" ... "h1").
 func FigureByID(id string) (Figure, error) {
 	for _, f := range Figures() {
 		if f.ID == id {
@@ -169,6 +340,42 @@ func FigureByID(id string) (Figure, error) {
 		}
 	}
 	return Figure{}, fmt.Errorf("harness: unknown figure %q", id)
+}
+
+// Resweep rebuilds f's case list for the command-line sweep overrides
+// (empty or DefaultArrival keeps the figure's own): loads and arrival
+// re-sweep an open-loop figure, waiters every strategy of a
+// wait-strategy figure. Other figures come back unchanged.
+func (f Figure) Resweep(loads []float64, arrival Arrival, waiters []int) Figure {
+	var cs []Case
+	switch {
+	case len(f.Cases) > 0 && f.Cases[0].Load > 0 && len(loads) > 0:
+		for _, l := range loads {
+			c := f.Cases[0]
+			c.Load = l
+			cs = append(cs, c)
+		}
+	case len(f.Cases) > 0 && f.Cases[0].Wait != "" && len(waiters) > 0:
+		seen := map[string]bool{}
+		for _, c := range f.Cases {
+			if !seen[c.Wait] {
+				seen[c.Wait] = true
+				for _, n := range waiters {
+					c.Threads = n
+					cs = append(cs, c)
+				}
+			}
+		}
+	default:
+		cs = append(cs, f.Cases...)
+	}
+	for i := range cs {
+		if cs[i].Load > 0 && arrival != DefaultArrival {
+			cs[i].Arrival = arrival
+		}
+	}
+	f.Cases = cs
+	return f
 }
 
 // RunOpts scales a figure run. The paper uses 10M ops x 10 reps per
@@ -179,27 +386,13 @@ type RunOpts struct {
 	Reps       int
 	MaxThreads int // truncate the sweep (0 = full paper sweep)
 	Queues     []string
-	Shards     int           // shard count for the sharded compositions (0 = default)
-	Ring       ringcore.Kind // ring kind inside the sharded compositions
-	Batch      int           // batch size; > 1 drives the batched workload loop
-	Capacity   uint64        // ring capacity (0 = the paper's 2^16)
-	Emulate    bool          // force CAS-emulated F&A regardless of the figure's mode
-	Core       *ringcore.Options
-	// Metrics gives each point's queue a live metrics sink, so runs
-	// measure the instrumented configuration (the overhead acceptance
-	// check compares a figure with and without this set). Each point
-	// gets a fresh sink; the ring-based queues record into it, the
-	// external baselines ignore it.
-	Metrics bool
-	// Loads overrides an open-loop figure's load-fraction sweep
-	// (cmd/wcqbench -loads).
-	Loads []float64
-	// Arrival overrides an open-loop figure's inter-arrival process
-	// when not DefaultArrival (cmd/wcqbench -arrival).
-	Arrival Arrival
-	// Waiters overrides a wait-strategy figure's goroutine-count sweep
-	// (cmd/wcqbench -waiters) — how CI runs a miniature w1.
-	Waiters []int
+	Batch      int // batch size for the closed-loop thread sweeps; > 1 drives the batched loop
+	// Config is the run's base queue configuration (what
+	// clihelper.Flags.Config builds). Its Shards, Ring, Core and Wait
+	// reach every point; an emulated Mode overrides each figure's; a
+	// nonzero Capacity overrides each figure's ring size; and a
+	// non-nil Metrics gives every point a fresh sink of its own.
+	Config queues.Config
 }
 
 func (o RunOpts) withDefaults() RunOpts {
@@ -212,379 +405,175 @@ func (o RunOpts) withDefaults() RunOpts {
 	return o
 }
 
-// Run executes the figure and returns all points (in queue-major
-// order). Unavailable queues (LCRQ under emulation) produce points
-// with Err set, rendered as "n/a" like the missing LCRQ lines in the
-// paper's PowerPC plots.
-func (f Figure) Run(opts RunOpts) []Point {
-	opts = opts.withDefaults()
-	qs := f.Queues
-	if len(opts.Queues) > 0 {
-		qs = intersect(f.Queues, opts.Queues)
+// queues is the figure's line-up narrowed to opts.Queues.
+func (f Figure) queues(opts RunOpts) []string {
+	if len(opts.Queues) == 0 {
+		return f.Queues
 	}
-	if len(f.Bursts) > 0 {
-		return f.runBursts(opts, qs)
-	}
-	if len(f.Batches) > 0 {
-		return f.runBatches(opts, qs)
-	}
-	if len(f.Loads) > 0 {
-		return f.runLoads(opts, qs)
-	}
-	if len(f.Waiters) > 0 {
-		return f.runWaiters(opts, qs)
-	}
-	if len(f.Splits) > 0 {
-		return f.runHandoff(opts, qs)
-	}
-	var pts []Point
-	for _, name := range qs {
-		for _, th := range f.Threads {
-			if opts.MaxThreads > 0 && th > opts.MaxThreads {
-				continue
-			}
-			cfg := queues.Config{
-				Capacity:   1 << 16, // the paper's ring size for wCQ/SCQ
-				MaxThreads: th + 1,
-				Mode:       f.Mode,
-				Shards:     opts.Shards,
-				Ring:       opts.Ring,
-				Core:       opts.Core,
-			}
-			if opts.Capacity > 0 {
-				cfg.Capacity = opts.Capacity
-			}
-			if opts.Emulate {
-				cfg.Mode = atomicx.EmulatedFAA
-			}
-			if opts.Metrics {
-				cfg.Metrics = metrics.New()
-			}
-			pts = append(pts, RunPoint(name, cfg, f.Workload, PointOpts{
-				Threads:  th,
-				Ops:      opts.Ops,
-				Reps:     opts.Reps,
-				Delays:   f.Delays,
-				Memory:   f.Memory,
-				Batch:    opts.Batch,
-				Blocking: f.Blocking,
-			}))
-		}
-	}
-	return pts
-}
-
-// fixedThreads is the fixed thread count a burst or batch figure runs
-// at: Threads[0], clamped by -maxthreads. Run and Render share it so
-// the header never mislabels a truncated run.
-func (f Figure) fixedThreads(opts RunOpts) int {
-	threads := f.Threads[0]
-	if opts.MaxThreads > 0 && threads > opts.MaxThreads {
-		threads = opts.MaxThreads
-	}
-	return threads
-}
-
-// runBursts executes a burst figure: the sweep axis is burst size at
-// a fixed thread count, and each point reports throughput plus the
-// peak live Footprint sampled at the top of the burst.
-func (f Figure) runBursts(opts RunOpts, qs []string) []Point {
-	threads := f.fixedThreads(opts)
-	var pts []Point
-	for _, name := range qs {
-		for _, burst := range f.Bursts {
-			cfg := queues.Config{
-				Capacity:   burstRingCap, // per-ring for the unbounded line-up
-				MaxThreads: threads + 1,
-				Mode:       f.Mode,
-				Shards:     opts.Shards,
-				Ring:       opts.Ring,
-				Core:       opts.Core,
-			}
-			if opts.Capacity > 0 {
-				cfg.Capacity = opts.Capacity
-			}
-			if opts.Emulate {
-				cfg.Mode = atomicx.EmulatedFAA
-			}
-			if opts.Metrics {
-				cfg.Metrics = metrics.New()
-			}
-			pt := Point{Queue: name, Threads: threads, Burst: burst}
-			reps := opts.Reps
-			mops := make([]float64, 0, reps)
-			for rep := 0; rep < reps; rep++ {
-				m, mem, fp, err := runBurstOnce(name, cfg, burst, PointOpts{Threads: threads})
-				if err != nil {
-					pt.Err = err
-					break
-				}
-				mops = append(mops, m)
-				if mem > pt.MemoryMB {
-					pt.MemoryMB = mem
-				}
-				if fp > pt.FootprintMB {
-					pt.FootprintMB = fp
-				}
-			}
-			if pt.Err == nil {
-				pt.Mops = stats.Summarize(mops)
-			}
-			pts = append(pts, pt)
-		}
-	}
-	return pts
-}
-
-// runBatches executes a batch-sweep figure: the sweep axis is batch
-// size at a fixed thread count. Batch 1 drives the scalar loop (the
-// baseline); larger sizes drive the native batch reservation through
-// queueapi's Batcher fast path. Mops counts transferred elements, so
-// points are directly comparable across batch sizes.
-func (f Figure) runBatches(opts RunOpts, qs []string) []Point {
-	threads := f.fixedThreads(opts)
-	var pts []Point
-	for _, name := range qs {
-		for _, batch := range f.Batches {
-			cfg := queues.Config{
-				Capacity:   1 << 16,
-				MaxThreads: threads + 1,
-				Mode:       f.Mode,
-				Shards:     opts.Shards,
-				Ring:       opts.Ring,
-				Core:       opts.Core,
-			}
-			if opts.Capacity > 0 {
-				cfg.Capacity = opts.Capacity
-			}
-			if opts.Emulate {
-				cfg.Mode = atomicx.EmulatedFAA
-			}
-			if opts.Metrics {
-				cfg.Metrics = metrics.New()
-			}
-			pt := RunPoint(name, cfg, f.Workload, PointOpts{
-				Threads: threads,
-				Ops:     opts.Ops,
-				Reps:    opts.Reps,
-				Batch:   batch,
-			})
-			pt.Batch = batch
-			pts = append(pts, pt)
-		}
-	}
-	return pts
-}
-
-// loadSweep resolves an open-loop figure's effective sweep after
-// RunOpts overrides. Run and Render share it so the rendered rows
-// always match the points actually measured.
-func (f Figure) loadSweep(opts RunOpts) ([]float64, Arrival) {
-	loads := f.Loads
-	if len(opts.Loads) > 0 {
-		loads = opts.Loads
-	}
-	arrival := f.Arrival
-	if opts.Arrival != DefaultArrival {
-		arrival = opts.Arrival
-	}
-	if arrival == DefaultArrival {
-		arrival = Poisson
-	}
-	return loads, arrival
-}
-
-// runLoads executes an open-loop figure: calibrate each queue's
-// closed-loop capacity once, then sweep offered load as a fraction of
-// it. Reps merge into one latency histogram per point (tails want
-// samples, not averaging) while achieved throughput is summarized
-// across reps like every other figure.
-func (f Figure) runLoads(opts RunOpts, qs []string) []Point {
-	threads := f.fixedThreads(opts)
-	producers, consumers := OpenLoopSplit(threads)
-	loads, arrival := f.loadSweep(opts)
-	var pts []Point
-	for _, name := range qs {
-		cfg := queues.Config{
-			Capacity:   1 << 16,
-			MaxThreads: threads + 2,
-			Mode:       f.Mode,
-			Shards:     opts.Shards,
-			Ring:       opts.Ring,
-			Core:       opts.Core,
-		}
-		if opts.Capacity > 0 {
-			cfg.Capacity = opts.Capacity
-		}
-		if opts.Emulate {
-			cfg.Mode = atomicx.EmulatedFAA
-		}
-		if opts.Metrics {
-			cfg.Metrics = metrics.New()
-		}
-		blocking := queueIsBlocking(name, cfg)
-		capacity, err := CalibrateCapacity(name, cfg, threads, opts.Ops, blocking)
-		for _, load := range loads {
-			pt := Point{Queue: name, Threads: threads, Load: load}
-			if err != nil {
-				pt.Err = err
-				pts = append(pts, pt)
-				continue
-			}
-			achieved := make([]float64, 0, opts.Reps)
-			for rep := 0; rep < opts.Reps; rep++ {
-				r, rerr := RunOpenLoop(name, cfg, OpenLoopOpts{
-					Producers: producers,
-					Consumers: consumers,
-					Ops:       opts.Ops,
-					Rate:      load * capacity,
-					Arrival:   arrival,
-				})
-				if rerr != nil {
-					pt.Err = rerr
-					break
-				}
-				pt.OfferedMops = r.OfferedMops
-				pt.Latency.Merge(r.Latency)
-				achieved = append(achieved, r.AchievedMops)
-				if r.FootprintMB > pt.FootprintMB {
-					pt.FootprintMB = r.FootprintMB
-				}
-			}
-			if pt.Err == nil {
-				pt.Mops = stats.Summarize(achieved)
-			}
-			pts = append(pts, pt)
-		}
-	}
-	return pts
-}
-
-// FormatLoadPoints renders an open-loop figure: one row per load
-// fraction, two columns per queue — the p99 latency in microseconds
-// (the knee axis) and the achieved transfer rate that goes flat once
-// the queue saturates.
-func FormatLoadPoints(pts []Point, loads []float64, queueNames []string) string {
-	byKey := map[string]Point{}
-	for _, p := range pts {
-		byKey[fmt.Sprintf("%s/%.3f", p.Queue, p.Load)] = p
-	}
-	out := "load"
-	for _, q := range queueNames {
-		out += fmt.Sprintf("\t%s p99(µs)\t%s Mxfer/s", q, q)
-	}
-	out += "\n"
-	for _, load := range loads {
-		out += fmt.Sprintf("%.2f", load)
-		for _, q := range queueNames {
-			p, ok := byKey[fmt.Sprintf("%s/%.3f", q, load)]
-			if !ok || p.Err != nil || p.Latency.Count == 0 {
-				out += "\tn/a\tn/a"
-				continue
-			}
-			out += fmt.Sprintf("\t%.1f\t%.3f", float64(p.Latency.Quantile(0.99))/1e3, p.Mops.Mean)
-		}
-		out += "\n"
-	}
-	return out
-}
-
-// FormatBatchPoints renders a batch figure's results: one row per
-// batch size, one throughput column per queue — the per-element
-// amortization curve of the native reservation path.
-func FormatBatchPoints(pts []Point, batches []int, queueNames []string) string {
-	byKey := map[string]Point{}
-	for _, p := range pts {
-		byKey[fmt.Sprintf("%s/%d", p.Queue, p.Batch)] = p
-	}
-	out := "batch"
-	for _, q := range queueNames {
-		out += fmt.Sprintf("\t%s", q)
-	}
-	out += "\n"
-	for _, b := range batches {
-		out += fmt.Sprintf("%d", b)
-		for _, q := range queueNames {
-			p, ok := byKey[fmt.Sprintf("%s/%d", q, b)]
-			if !ok || p.Err != nil {
-				out += "\tn/a"
-				continue
-			}
-			out += fmt.Sprintf("\t%.3f", p.Mops.Mean)
-		}
-		out += "\n"
-	}
-	return out
-}
-
-// Render writes the figure header and table to w.
-func (f Figure) Render(w io.Writer, pts []Point, opts RunOpts) {
-	opts = opts.withDefaults()
-	threads := f.Threads
-	if opts.MaxThreads > 0 {
-		threads = nil
-		for _, t := range f.Threads {
-			if t <= opts.MaxThreads {
-				threads = append(threads, t)
-			}
-		}
-	}
-	qs := f.Queues
-	if len(opts.Queues) > 0 {
-		qs = intersect(f.Queues, opts.Queues)
-	}
-	if len(f.Bursts) > 0 {
-		fmt.Fprintf(w, "Figure %s: %s (%d threads, %s)\n", f.ID, f.Title, f.fixedThreads(opts), f.Mode)
-		io.WriteString(w, FormatBurstPoints(pts, f.Bursts, qs))
-		return
-	}
-	if len(f.Batches) > 0 {
-		fmt.Fprintf(w, "Figure %s: %s (%d threads, %s workload, %s)\n", f.ID, f.Title, f.fixedThreads(opts), f.Workload, f.Mode)
-		io.WriteString(w, FormatBatchPoints(pts, f.Batches, qs))
-		return
-	}
-	if len(f.Loads) > 0 {
-		loads, arrival := f.loadSweep(opts)
-		producers, consumers := OpenLoopSplit(f.fixedThreads(opts))
-		fmt.Fprintf(w, "Figure %s: %s (%d producers / %d consumers, %s arrivals, %s)\n",
-			f.ID, f.Title, producers, consumers, arrival, f.Mode)
-		io.WriteString(w, FormatLoadPoints(pts, loads, qs))
-		return
-	}
-	if len(f.Waiters) > 0 {
-		fmt.Fprintf(w, "Figure %s: %s (1:3 send/recv split, %s)\n", f.ID, f.Title, f.Mode)
-		io.WriteString(w, FormatWaiterPoints(pts))
-		return
-	}
-	if len(f.Splits) > 0 {
-		fmt.Fprintf(w, "Figure %s: %s (%s)\n", f.ID, f.Title, f.Mode)
-		io.WriteString(w, FormatHandoffPoints(pts))
-		return
-	}
-	fmt.Fprintf(w, "Figure %s: %s (%s workload, %s)\n", f.ID, f.Title, f.Workload, f.Mode)
-	io.WriteString(w, FormatPoints(pts, threads, qs, f.Memory))
-}
-
-func intersect(all, wanted []string) []string {
 	set := map[string]bool{}
-	for _, w := range wanted {
-		set[w] = true
+	for _, q := range opts.Queues {
+		set[q] = true
 	}
 	var out []string
-	for _, a := range all {
-		if set[a] {
-			out = append(out, a)
+	for _, q := range f.Queues {
+		if set[q] {
+			out = append(out, q)
 		}
 	}
 	return out
 }
 
-// SortPoints orders points by (queue, threads) for stable output.
-func SortPoints(pts []Point) {
-	sort.Slice(pts, func(i, j int) bool {
-		if pts[i].Queue != pts[j].Queue {
-			return pts[i].Queue < pts[j].Queue
+// cases is the case list a run executes: -maxthreads drops the cases
+// of a sweep past it and clamps a fixed-thread figure's, and -batch
+// reaches the closed-loop cases that do not sweep batch themselves.
+func (f Figure) cases(opts RunOpts) []Case {
+	var cs []Case
+	for _, c := range f.Cases {
+		if opts.MaxThreads > 0 && c.Threads > opts.MaxThreads {
+			if !f.table.clamp {
+				continue
+			}
+			c.Threads = opts.MaxThreads
 		}
-		return pts[i].Threads < pts[j].Threads
-	})
+		if c.Batch == 0 && c.Burst == 0 && c.Load == 0 && !f.Blocking {
+			c.Batch = opts.Batch
+		}
+		cs = append(cs, c)
+	}
+	return cs
+}
+
+// Config builds the queue configuration of one (queue, case) point:
+// the run's base configuration with the figure's ring size and F&A
+// mode where the base leaves them open, a handle budget for the case,
+// the case's wait strategy, and a fresh metrics sink when the run or
+// the figure wants one.
+func (f Figure) Config(queue string, c Case, opts RunOpts) (queues.Config, error) {
+	cfg := opts.Config
+	if cfg.Capacity == 0 && f.capacity != nil {
+		cfg.Capacity = f.capacity(queue)
+	}
+	if cfg.Mode != atomicx.EmulatedFAA {
+		cfg.Mode = f.Mode
+	}
+	cfg.MaxThreads = c.Threads + 1
+	if cfg.Metrics != nil || f.ladder {
+		cfg.Metrics = metrics.New()
+	}
+	if c.Wait != "" {
+		w, err := backoff.ByName(c.Wait)
+		if err != nil {
+			return cfg, err
+		}
+		cfg.Wait = w
+	}
+	return cfg, nil
+}
+
+// Run executes the figure, every queue at every case, and returns the
+// points in queue-major order. Unavailable queues (LCRQ under
+// emulation) produce points with Err set, rendered as "n/a" like the
+// missing LCRQ lines in the paper's PowerPC plots.
+func (f Figure) Run(opts RunOpts) []benchfmt.Point {
+	opts = opts.withDefaults()
+	cases := f.cases(opts)
+	var pts []benchfmt.Point
+	for _, name := range f.queues(opts) {
+		var capacity float64 // open-loop cases: calibrated once per queue
+		var calErr error
+		warm := !f.warmup
+		for _, c := range cases {
+			cfg, err := f.Config(name, c, opts)
+			po := PointOpts{
+				Threads: c.Threads, Ops: opts.Ops, Reps: opts.Reps,
+				Delays: f.Delays, Memory: f.Memory, Blocking: f.Blocking,
+				Batch: c.Batch, Burst: c.Burst, Arrival: c.Arrival,
+				Producers: c.Producers, Consumers: c.Consumers,
+			}
+			if err == nil && c.Load > 0 {
+				po.Producers, po.Consumers = OpenLoopSplit(c.Threads)
+				if capacity == 0 && calErr == nil {
+					capacity, calErr = CalibrateCapacity(name, cfg, po.Producers, po.Consumers, opts.Ops)
+				}
+				po.Rate, err = c.Load*capacity, calErr
+			}
+			if err == nil && !warm {
+				// A config of its own (it builds, as cfg did), so the
+				// warmup stays out of the point's sink; a warmup error
+				// recurs in the timed reps, which report it.
+				wcfg, _ := f.Config(name, c, opts)
+				_, _ = once(name, wcfg, f.Workload, po)
+				warm = true
+			}
+			pt := benchfmt.Point{Queue: name, Threads: c.Threads}
+			if err != nil {
+				pt.Err = err.Error()
+			} else {
+				pt = RunPoint(name, cfg, f.Workload, po)
+			}
+			pt.Figure, pt.Batch, pt.Burst, pt.Load = f.ID, c.Batch, c.Burst, c.Load
+			pt.Wait, pt.Producers, pt.Consumers = c.Wait, c.Producers, c.Consumers
+			if f.ladder && pt.Err == "" {
+				snap := cfg.Metrics.Snapshot()
+				pt.Latency = benchfmt.NewLatencyUS(snap.Parked)
+				if hits := snap.Counts[metrics.SpinHit]; c.Wait != "" && hits > 0 {
+					pt.SpinHitRate = float64(hits) / float64(hits+snap.Counts[metrics.SpinMiss])
+				}
+				if c.Producers > 0 {
+					pt.HandoffRate = snap.HandoffRate()
+				}
+			}
+			pts = append(pts, pt)
+		}
+	}
+	return pts
+}
+
+// Render writes the figure's title line and table to w: one row per
+// case of the run, and per queue the figure's columns ("n/a" where the
+// queue has no point or an errored one).
+func (f Figure) Render(w io.Writer, pts []benchfmt.Point, opts RunOpts) {
+	cases := f.cases(opts)
+	qs := f.queues(opts)
+	var first Case
+	if len(cases) > 0 {
+		first = cases[0]
+	}
+	cols := f.table.cols
+	if f.Memory {
+		cols = []column{{"", func(p benchfmt.Point) string { return fmt.Sprintf("%.2f", p.MemoryMB) }}}
+	}
+	type key struct {
+		queue string
+		c     Case
+	}
+	byKey := map[key]benchfmt.Point{}
+	for _, p := range pts {
+		byKey[key{p.Queue, Case{Threads: p.Threads, Burst: p.Burst, Batch: p.Batch, Load: p.Load,
+			Wait: p.Wait, Producers: p.Producers, Consumers: p.Consumers}}] = p
+	}
+	var b strings.Builder
+	fmt.Fprintf(&b, "Figure %s: %s (%s)\n%s", f.ID, f.Title, f.table.note(f, first), f.table.row)
+	for _, q := range qs {
+		for _, col := range cols {
+			fmt.Fprintf(&b, "\t%s%s", q, col.head)
+		}
+	}
+	b.WriteString("\n")
+	for _, c := range cases {
+		b.WriteString(f.table.label(c))
+		c.Arrival = 0 // points do not record it
+		for _, q := range qs {
+			p, ok := byKey[key{q, c}]
+			for _, col := range cols {
+				if !ok || p.Err != "" {
+					b.WriteString("\tn/a")
+				} else {
+					b.WriteString("\t" + col.cell(p))
+				}
+			}
+		}
+		b.WriteString("\n")
+	}
+	io.WriteString(w, b.String())
 }

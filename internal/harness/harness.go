@@ -1,7 +1,8 @@
 // Package harness reproduces the wCQ paper's benchmark framework
 // (§6, originally the YMC test framework extended with SCQ, CRTurn and
 // wCQ): workload generators, thread sweeps, throughput and memory
-// measurement, and one runner per figure of the evaluation.
+// measurement, and one sweep engine that runs every figure of the
+// evaluation as a list of cases.
 //
 // Differences from the paper's testbed are confined to this package
 // and documented in ARCHITECTURE.md: goroutines instead of pinned pthreads,
@@ -10,12 +11,12 @@
 package harness
 
 import (
-	"fmt"
 	"runtime"
 	"sync"
 	"sync/atomic"
 	"time"
 
+	"repro/internal/benchfmt"
 	"repro/internal/metrics"
 	"repro/internal/queueapi"
 	"repro/internal/queues"
@@ -50,7 +51,9 @@ func (w Workload) String() string {
 	return "?"
 }
 
-// PointOpts sizes one measurement point.
+// PointOpts sizes one measurement point. Burst, Rate and Blocking
+// select the engine (in that order of precedence); without them the
+// point runs the closed-loop workload loop.
 type PointOpts struct {
 	Threads int
 	Ops     int  // total operations across all threads
@@ -68,92 +71,83 @@ type PointOpts struct {
 	// consumers drain until close. Requires a queue whose handles
 	// implement queueapi.Waitable. Delays/Memory/Batch are ignored.
 	Blocking bool
-	// Producers/Consumers, when both positive, pin the blocking role
-	// split explicitly instead of deriving it from Threads via
-	// BlockingSplit — the handoff figure h1 sweeps this imbalance.
+	// Producers/Consumers, when both positive, pin the role split of
+	// the blocking and open-loop engines instead of deriving it from
+	// Threads — the handoff figure h1 sweeps this imbalance.
 	Producers int
 	Consumers int
+	// Burst > 0 runs burst/drain cycles of this many values (figure
+	// u1) instead of the workload loop.
+	Burst int
+	// Rate > 0 runs the open-loop engine (figure l1) at this offered
+	// load in transfers per second, with Arrival's inter-arrival
+	// process and the Producers/Consumers split; each rep's latency
+	// histogram merges into the point.
+	Rate    float64
+	Arrival Arrival
 }
 
-// Point is one (queue, thread-count) measurement. Burst figures key
-// points by (queue, burst size) and batch figures by (queue, batch
-// size) instead, at a fixed thread count.
-type Point struct {
-	Queue    string
-	Threads  int
-	Burst    int // burst size (burst figures only; 0 otherwise)
-	Batch    int // batch size (batch figures only; 0 otherwise)
-	Mops     stats.Summary
-	MemoryMB float64 // peak memory consumed (cumulative static + heap)
-	// FootprintMB is the queue's own Footprint() at the end of a run:
-	// the construction-time allocation for the bounded queues (summed
-	// over shards for the sharded compositions) and the post-run live
-	// retention for the unbounded ones. Unlike MemoryMB it needs no
-	// heap sampling, so every point carries it.
-	FootprintMB float64
-	// Load is the offered-load fraction of the queue's calibrated
-	// closed-loop capacity (open-loop figure l1 only; 0 otherwise).
-	Load float64
-	// OfferedMops is the open-loop arrival rate Load resolved to, in
-	// millions of transfers per second (l1 only).
-	OfferedMops float64
-	// Latency is the coordinated-omission-safe end-to-end latency
-	// distribution in nanoseconds, merged across reps (l1 only; zero
-	// Count otherwise), or the blocking-wait ladder (w1). For l1, Mops
-	// summarizes the ACHIEVED transfer rate in Mtransfers/s rather
-	// than the closed-loop op rate.
-	Latency metrics.HistogramSnapshot
-	// Wait names the blocking-wait strategy this point ran under
-	// (wait-strategy figure w1 only; "" otherwise).
-	Wait string
-	// SpinHitRate is the fraction of blocking waits resolved in the
-	// spin/yield phases without parking, in [0, 1] (w1 only, and only
-	// meaningful for strategies with a spin phase).
-	SpinHitRate float64
-	// Producers/Consumers record the explicit blocking role split
-	// (handoff figure h1 only; 0 otherwise — the split is then the
-	// BlockingSplit derivation from Threads).
-	Producers int
-	Consumers int
-	// HandoffRate is the fraction of handoff attempts that delivered a
-	// value past the ring, in [0, 1] (h1 only).
-	HandoffRate float64
-	Err         error // non-nil when the queue is unavailable (e.g. LCRQ under emulation)
-}
-
-// RunPoint measures one queue at one thread count.
-func RunPoint(name string, cfg queues.Config, w Workload, opts PointOpts) Point {
-	pt := Point{Queue: name, Threads: opts.Threads}
-	if opts.Reps <= 0 {
-		opts.Reps = 1
-	}
-	mops := make([]float64, 0, opts.Reps)
-	for rep := 0; rep < opts.Reps; rep++ {
-		m, mem, fp, err := runOnce(name, cfg, w, opts)
+// RunPoint measures one queue at one point: opts.Reps runs of the
+// engine opts selects, summarized into the fields a wcqbench/v1 point
+// carries (throughput min/mean/max, peak memory and footprint, and the
+// merged latency ladder of an open-loop point). The caller stamps the
+// figure and sweep fields.
+func RunPoint(name string, cfg queues.Config, w Workload, opts PointOpts) benchfmt.Point {
+	pt := benchfmt.Point{Queue: name, Threads: opts.Threads}
+	reps := max(opts.Reps, 1)
+	mops := make([]float64, 0, reps)
+	var latency metrics.HistogramSnapshot
+	for rep := 0; rep < reps; rep++ {
+		r, err := once(name, cfg, w, opts)
 		if err != nil {
-			pt.Err = err
+			pt.Err = err.Error()
 			return pt
 		}
-		mops = append(mops, m)
-		if mem > pt.MemoryMB {
-			pt.MemoryMB = mem
-		}
-		if fp > pt.FootprintMB {
-			pt.FootprintMB = fp
-		}
+		mops = append(mops, r.mops)
+		pt.MemoryMB = max(pt.MemoryMB, r.memMB)
+		pt.FootprintMB = max(pt.FootprintMB, r.fpMB)
+		pt.OfferedMops = r.offeredMops
+		latency.Merge(r.latency)
 	}
-	pt.Mops = stats.Summarize(mops)
+	s := stats.Summarize(mops)
+	pt.MopsMin, pt.MopsMean, pt.MopsMax = s.Min, s.Mean, s.Max
+	pt.Latency = benchfmt.NewLatencyUS(latency)
 	return pt
+}
+
+// result is one timed run of any engine.
+type result struct {
+	mops, memMB, fpMB float64
+	offeredMops       float64                   // open loop only
+	latency           metrics.HistogramSnapshot // open loop only
+}
+
+// once builds a fresh queue and drives one timed run of the engine
+// opts selects.
+func once(name string, cfg queues.Config, w Workload, opts PointOpts) (r result, err error) {
+	switch {
+	case opts.Burst > 0:
+		r.mops, r.memMB, r.fpMB, err = runBurstOnce(name, cfg, opts)
+	case opts.Rate > 0:
+		var ol OpenLoopResult
+		ol, err = RunOpenLoop(name, cfg, OpenLoopOpts{
+			Producers: opts.Producers, Consumers: opts.Consumers, Ops: opts.Ops, Rate: opts.Rate, Arrival: opts.Arrival,
+		})
+		r = result{mops: ol.AchievedMops, fpMB: ol.FootprintMB, offeredMops: ol.OfferedMops, latency: ol.Latency}
+	case opts.Blocking:
+		r.mops, r.memMB, r.fpMB, err = runBlockingOnce(name, cfg, opts)
+	default:
+		r.mops, r.memMB, r.fpMB, err = runOnce(name, cfg, w, opts)
+	}
+	return r, err
 }
 
 // footprintMB converts a queue's Footprint to the figure unit.
 func footprintMB(q queueapi.Queue) float64 { return float64(q.Footprint()) / (1 << 20) }
 
-// runOnce builds a fresh queue and drives one timed run.
+// runOnce builds a fresh queue and drives one timed run of the
+// closed-loop workload.
 func runOnce(name string, cfg queues.Config, w Workload, opts PointOpts) (mops, memMB, fpMB float64, err error) {
-	if opts.Blocking {
-		return runBlockingOnce(name, cfg, opts)
-	}
 	if cfg.MaxThreads < opts.Threads+1 {
 		cfg.MaxThreads = opts.Threads + 1
 	}
@@ -323,35 +317,4 @@ func (s *memSampler) stop() uint64 {
 		s.peak.Store(ms.HeapAlloc)
 	}
 	return s.peak.Load()
-}
-
-// FormatPoints renders a figure's results as the table the paper plots:
-// one row per thread count, one column per queue.
-func FormatPoints(pts []Point, threads []int, queueNames []string, memory bool) string {
-	cell := func(p Point) string {
-		if p.Err != nil {
-			return "n/a"
-		}
-		if memory {
-			return fmt.Sprintf("%.2f", p.MemoryMB)
-		}
-		return fmt.Sprintf("%.3f", p.Mops.Mean)
-	}
-	byKey := map[string]Point{}
-	for _, p := range pts {
-		byKey[fmt.Sprintf("%s/%d", p.Queue, p.Threads)] = p
-	}
-	out := "threads"
-	for _, q := range queueNames {
-		out += fmt.Sprintf("\t%s", q)
-	}
-	out += "\n"
-	for _, t := range threads {
-		out += fmt.Sprintf("%d", t)
-		for _, q := range queueNames {
-			out += "\t" + cell(byKey[fmt.Sprintf("%s/%d", q, t)])
-		}
-		out += "\n"
-	}
-	return out
 }

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"repro/internal/atomicx"
+	"repro/internal/benchfmt"
 	"repro/internal/queues"
 )
 
@@ -19,11 +20,11 @@ func TestRunPointAllQueuesAllWorkloads(t *testing.T) {
 			t.Run(name+"/"+w.String(), func(t *testing.T) {
 				cfg := queues.Config{Capacity: 1 << 10, MaxThreads: 8}
 				pt := RunPoint(name, cfg, w, smallOpts(3))
-				if pt.Err != nil {
+				if pt.Err != "" {
 					t.Fatalf("point error: %v", pt.Err)
 				}
-				if pt.Mops.Mean <= 0 {
-					t.Fatalf("non-positive throughput: %+v", pt.Mops)
+				if pt.MopsMean <= 0 {
+					t.Fatalf("non-positive throughput: %+v", pt)
 				}
 			})
 		}
@@ -33,7 +34,7 @@ func TestRunPointAllQueuesAllWorkloads(t *testing.T) {
 func TestRunPointMemoryProbe(t *testing.T) {
 	cfg := queues.Config{Capacity: 1 << 10, MaxThreads: 8}
 	pt := RunPoint("wCQ", cfg, Mixed, PointOpts{Threads: 2, Ops: 4000, Reps: 1, Delays: true, Memory: true})
-	if pt.Err != nil {
+	if pt.Err != "" {
 		t.Fatal(pt.Err)
 	}
 	if pt.MemoryMB <= 0 {
@@ -44,7 +45,7 @@ func TestRunPointMemoryProbe(t *testing.T) {
 func TestLCRQUnavailableProducesErrPoint(t *testing.T) {
 	cfg := queues.Config{Capacity: 1 << 10, MaxThreads: 8, Mode: atomicx.EmulatedFAA}
 	pt := RunPoint("LCRQ", cfg, Pairwise, smallOpts(2))
-	if pt.Err == nil {
+	if pt.Err == "" {
 		t.Fatal("expected error point for LCRQ under emulation")
 	}
 }
@@ -59,7 +60,7 @@ func TestFiguresComplete(t *testing.T) {
 		if f.ID != want[i] {
 			t.Fatalf("figure %d is %q, want %q", i, f.ID, want[i])
 		}
-		if len(f.Threads) == 0 || len(f.Queues) == 0 {
+		if len(f.Cases) == 0 || len(f.Queues) == 0 {
 			t.Fatalf("figure %s underspecified", f.ID)
 		}
 	}
@@ -116,11 +117,11 @@ func TestRunPointBatched(t *testing.T) {
 				opts := smallOpts(3)
 				opts.Batch = 16
 				pt := RunPoint(name, cfg, w, opts)
-				if pt.Err != nil {
+				if pt.Err != "" {
 					t.Fatalf("point error: %v", pt.Err)
 				}
-				if pt.Mops.Mean <= 0 {
-					t.Fatalf("non-positive throughput: %+v", pt.Mops)
+				if pt.MopsMean <= 0 {
+					t.Fatalf("non-positive throughput: %+v", pt)
 				}
 			})
 		}
@@ -150,8 +151,10 @@ func TestBurstFigure(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(f.Bursts) == 0 {
-		t.Fatal("figure u1 has no burst sweep")
+	for _, c := range f.Cases {
+		if c.Burst == 0 {
+			t.Fatalf("figure u1 case %+v has no burst (u1 sweeps burst size)", c)
+		}
 	}
 	for _, name := range []string{"LSCQ", "UWCQ", "ChanUnbounded"} {
 		found := false
@@ -170,7 +173,7 @@ func TestBurstFigure(t *testing.T) {
 	for _, name := range f.Queues {
 		name := name
 		t.Run(name, func(t *testing.T) {
-			mops, memMB, fpMB, err := runBurstOnce(name, cfg, 2048, PointOpts{Threads: 4})
+			mops, memMB, fpMB, err := runBurstOnce(name, cfg, PointOpts{Threads: 4, Burst: 2048})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -192,14 +195,14 @@ func TestBurstFigureRunAndRender(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	f.Bursts = []int{256, 512} // scale the sweep down for CI
-	opts := RunOpts{Reps: 1, Queues: []string{"LSCQ"}, Capacity: 16}
+	f.Cases = []Case{{Threads: 4, Burst: 256}, {Threads: 4, Burst: 512}} // scale the sweep down for CI
+	opts := RunOpts{Reps: 1, Queues: []string{"LSCQ"}, Config: queues.Config{Capacity: 16}}
 	pts := f.Run(opts)
 	if len(pts) != 2 {
 		t.Fatalf("got %d points, want 2", len(pts))
 	}
 	for _, pt := range pts {
-		if pt.Err != nil {
+		if pt.Err != "" {
 			t.Fatalf("%s/%d: %v", pt.Queue, pt.Burst, pt.Err)
 		}
 		if pt.Burst == 0 || pt.MemoryMB <= 0 {
@@ -219,10 +222,10 @@ func TestBatchFigure(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(f.Batches) == 0 {
+	if len(f.Cases) == 0 || f.Cases[0].Batch == 0 {
 		t.Fatal("figure p2 has no batch sweep")
 	}
-	if f.Batches[0] != 1 {
+	if f.Cases[0].Batch != 1 {
 		t.Fatal("figure p2 must include the scalar baseline (batch 1)")
 	}
 	for _, name := range []string{"wCQ", "SCQ", "Sharded", "UWCQ"} {
@@ -243,17 +246,17 @@ func TestBatchFigureRunAndRender(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	f.Batches = []int{1, 8} // scale the sweep down for CI
-	opts := RunOpts{Ops: 4000, Reps: 1, Queues: []string{"wCQ"}, Capacity: 1 << 10}
+	f.Cases = []Case{{Threads: 4, Batch: 1}, {Threads: 4, Batch: 8}} // scale the sweep down for CI
+	opts := RunOpts{Ops: 4000, Reps: 1, Queues: []string{"wCQ"}, Config: queues.Config{Capacity: 1 << 10}}
 	pts := f.Run(opts)
 	if len(pts) != 2 {
 		t.Fatalf("got %d points, want 2", len(pts))
 	}
 	for _, pt := range pts {
-		if pt.Err != nil {
+		if pt.Err != "" {
 			t.Fatalf("%s/%d: %v", pt.Queue, pt.Batch, pt.Err)
 		}
-		if pt.Batch == 0 || pt.Mops.Mean <= 0 {
+		if pt.Batch == 0 || pt.MopsMean <= 0 {
 			t.Fatalf("batch point underfilled: %+v", pt)
 		}
 	}
@@ -269,13 +272,15 @@ func TestBatchFigureRunAndRender(t *testing.T) {
 	}
 }
 
+// TestBurstSplit pins the burst/drain engine's role split, which is
+// OpenLoopSplit: half produce, half consume, at least one of each.
 func TestBurstSplit(t *testing.T) {
 	for _, c := range []struct{ threads, p, c int }{
 		{1, 1, 1}, {2, 1, 1}, {4, 2, 2}, {7, 3, 4},
 	} {
-		p, cons := BurstSplit(c.threads)
+		p, cons := OpenLoopSplit(c.threads)
 		if p != c.p || cons != c.c {
-			t.Fatalf("BurstSplit(%d) = (%d, %d), want (%d, %d)", c.threads, p, cons, c.p, c.c)
+			t.Fatalf("burst split of %d = (%d, %d), want (%d, %d)", c.threads, p, cons, c.p, c.c)
 		}
 	}
 }
@@ -305,10 +310,10 @@ func TestBlockingFigure(t *testing.T) {
 		t.Fatalf("got %d points, want %d", len(pts), len(f.Queues))
 	}
 	for _, pt := range pts {
-		if pt.Err != nil {
+		if pt.Err != "" {
 			t.Fatalf("%s: %v", pt.Queue, pt.Err)
 		}
-		if pt.Mops.Mean <= 0 {
+		if pt.MopsMean <= 0 {
 			t.Fatalf("%s: no throughput measured", pt.Queue)
 		}
 	}
@@ -318,7 +323,7 @@ func TestBlockingPointRejectsNonBlockingQueue(t *testing.T) {
 	pt := RunPoint("wCQ", queues.Config{Capacity: 256}, Pairwise, PointOpts{
 		Threads: 2, Ops: 100, Reps: 1, Blocking: true,
 	})
-	if pt.Err == nil {
+	if pt.Err == "" {
 		t.Fatal("blocking point over a nonblocking queue did not error")
 	}
 }
@@ -349,18 +354,17 @@ func TestWakeupLatencyRejectsNonBlockingQueue(t *testing.T) {
 }
 
 func TestFormatPointsNA(t *testing.T) {
-	pts := []Point{{Queue: "LCRQ", Threads: 1, Err: errFake}}
-	out := FormatPoints(pts, []int{1}, []string{"LCRQ"}, false)
-	if !strings.Contains(out, "n/a") {
-		t.Fatalf("missing n/a cell: %q", out)
+	f, err := FigureByID("11b")
+	if err != nil {
+		t.Fatal(err)
+	}
+	pts := []benchfmt.Point{{Figure: "11b", Queue: "LCRQ", Threads: 1, Err: "unavailable"}}
+	var sb strings.Builder
+	f.Render(&sb, pts, RunOpts{MaxThreads: 1, Queues: []string{"LCRQ"}})
+	if !strings.Contains(sb.String(), "\n1\tn/a\n") {
+		t.Fatalf("missing n/a cell: %q", sb.String())
 	}
 }
-
-var errFake = errStr("unavailable")
-
-type errStr string
-
-func (e errStr) Error() string { return string(e) }
 
 func TestXorshiftNonDegenerate(t *testing.T) {
 	seen := map[uint64]bool{}
@@ -371,13 +375,5 @@ func TestXorshiftNonDegenerate(t *testing.T) {
 			t.Fatalf("cycle after %d steps", i)
 		}
 		seen[x] = true
-	}
-}
-
-func TestSortPoints(t *testing.T) {
-	pts := []Point{{Queue: "b", Threads: 2}, {Queue: "a", Threads: 4}, {Queue: "a", Threads: 1}}
-	SortPoints(pts)
-	if pts[0].Queue != "a" || pts[0].Threads != 1 || pts[2].Queue != "b" {
-		t.Fatalf("bad order: %+v", pts)
 	}
 }

@@ -18,6 +18,7 @@ import (
 	"fmt"
 	"math"
 	"runtime"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -32,8 +33,8 @@ import (
 type Arrival uint8
 
 const (
-	// DefaultArrival defers to the figure's configured process
-	// (RunOpts.Arrival only overrides when set to something else).
+	// DefaultArrival is the unset value: RunOpenLoop runs it as
+	// Poisson, and Figure.Resweep keeps each case's own process.
 	DefaultArrival Arrival = iota
 	// Poisson draws exponential inter-arrival times — the memoryless
 	// arrival stream of an M/x/x system, and the default for figure l1
@@ -117,10 +118,9 @@ func waitUntil(start time.Time, intended time.Duration) {
 	}
 }
 
-// OpenLoopSplit derives the producer/consumer split for the open-loop
-// engine from a total goroutine count: half produce, half consume
-// (minimum one of each), mirroring the pairwise closed-loop workload
-// the capacity calibration runs.
+// OpenLoopSplit derives the producer/consumer split of the open-loop
+// and burst/drain engines from a total goroutine count: half produce,
+// half consume (minimum one of each).
 func OpenLoopSplit(threads int) (producers, consumers int) {
 	producers = threads / 2
 	if producers < 1 {
@@ -325,20 +325,23 @@ func RunOpenLoop(name string, cfg queues.Config, opts OpenLoopOpts) (OpenLoopRes
 }
 
 // CalibrateCapacity measures a queue's closed-loop pairwise transfer
-// capacity (transfers per second) at the given thread count — the
-// denominator the l1 load fractions are expressed against, so the same
-// fractions land on comparable points of every queue's latency curve
-// regardless of host speed. Queues with a blocking surface calibrate
-// through it (the same path the open-loop run uses); both conventions
+// capacity (transfers per second) on the open-loop run's own role
+// split — the denominator the l1 load fractions are expressed
+// against, so the same fractions land on comparable points of every
+// queue's latency curve regardless of host speed. Queues with a
+// blocking surface calibrate through it with exactly that split (the
+// same path the open-loop run uses); the nonblocking ones run the
+// pairwise loop on producers+consumers goroutines. Both conventions
 // count a transfer as two Mops, hence the /2.
-func CalibrateCapacity(name string, cfg queues.Config, threads, ops int, blocking bool) (float64, error) {
+func CalibrateCapacity(name string, cfg queues.Config, producers, consumers, ops int) (float64, error) {
 	pt := RunPoint(name, cfg, Pairwise, PointOpts{
-		Threads: threads, Ops: ops, Reps: 1, Blocking: blocking,
+		Threads: producers + consumers, Producers: producers, Consumers: consumers,
+		Ops: ops, Reps: 1, Blocking: queueIsBlocking(name),
 	})
-	if pt.Err != nil {
-		return 0, pt.Err
+	if pt.Err != "" {
+		return 0, errors.New(pt.Err)
 	}
-	capacity := pt.Mops.Mean * 1e6 / 2
+	capacity := pt.MopsMean * 1e6 / 2
 	if capacity <= 0 {
 		return 0, fmt.Errorf("harness: %s calibrated to zero capacity", name)
 	}
@@ -346,19 +349,6 @@ func CalibrateCapacity(name string, cfg queues.Config, threads, ops int, blockin
 }
 
 // queueIsBlocking reports whether name's handles expose the parking
-// Send/Recv surface, deciding which engine path an open-loop point
-// takes. It probes a throwaway two-slot instance so the real run's
-// thread budget is untouched.
-func queueIsBlocking(name string, cfg queues.Config) bool {
-	cfg.MaxThreads = 2
-	q, err := queues.New(name, cfg)
-	if err != nil {
-		return false
-	}
-	h, err := q.Handle()
-	if err != nil {
-		return false
-	}
-	_, ok := h.(queueapi.Waitable)
-	return ok
-}
+// Send/Recv surface — whether it is one of the registry's Chan
+// facades — deciding which engine path an open-loop point takes.
+func queueIsBlocking(name string) bool { return slices.Contains(queues.BlockingQueues(), name) }

@@ -148,18 +148,23 @@ func TestLoadFigure(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(f.Loads) < 4 {
-		t.Fatalf("figure l1 sweeps %d loads, want at least 4", len(f.Loads))
+	if len(f.Cases) < 4 {
+		t.Fatalf("figure l1 sweeps %d loads, want at least 4", len(f.Cases))
 	}
-	if f.Arrival != Poisson {
-		t.Fatal("figure l1 must default to Poisson arrivals")
+	for _, c := range f.Cases {
+		if c.Load <= 0 {
+			t.Fatalf("figure l1 case %+v has no offered load", c)
+		}
+		if c.Arrival != Poisson {
+			t.Fatal("figure l1 must default to Poisson arrivals")
+		}
 	}
 	if len(f.Queues) < 5 {
 		t.Fatalf("figure l1 has %d queues, want at least 5", len(f.Queues))
 	}
 	sawKnee := false
-	for _, load := range f.Loads {
-		if load > 1 {
+	for _, c := range f.Cases {
+		if c.Load > 1 {
 			sawKnee = true
 		}
 	}
@@ -184,20 +189,20 @@ func TestLoadFigureRunAndRender(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	f.Loads = []float64{0.5} // scale the sweep down for CI
+	f = f.Resweep([]float64{0.5}, DefaultArrival, nil) // scale the sweep down for CI
 	opts := RunOpts{Ops: 3000, Reps: 1, Queues: []string{"Chan", "wCQ"}}
 	pts := f.Run(opts)
 	if len(pts) != 2 {
 		t.Fatalf("got %d points, want 2", len(pts))
 	}
 	for _, pt := range pts {
-		if pt.Err != nil {
+		if pt.Err != "" {
 			t.Fatalf("%s: %v", pt.Queue, pt.Err)
 		}
 		if pt.Load != 0.5 || pt.OfferedMops <= 0 {
 			t.Fatalf("load point underfilled: %+v", pt)
 		}
-		if pt.Latency.Count == 0 || pt.Mops.Mean <= 0 {
+		if pt.Latency == nil || pt.MopsMean <= 0 {
 			t.Fatalf("%s: no latency recorded", pt.Queue)
 		}
 	}
@@ -211,22 +216,21 @@ func TestLoadFigureRunAndRender(t *testing.T) {
 }
 
 func TestCalibrateCapacityPositive(t *testing.T) {
-	c, err := CalibrateCapacity("wCQ", queues.Config{Capacity: 1 << 10}, 2, 4000, false)
+	c, err := CalibrateCapacity("wCQ", queues.Config{Capacity: 1 << 10}, 1, 1, 4000)
 	if err != nil || c <= 0 {
 		t.Fatalf("capacity %f, err %v", c, err)
 	}
-	cb, err := CalibrateCapacity("Chan", queues.Config{Capacity: 1 << 10}, 2, 4000, true)
+	cb, err := CalibrateCapacity("Chan", queues.Config{Capacity: 1 << 10}, 1, 1, 4000)
 	if err != nil || cb <= 0 {
 		t.Fatalf("blocking capacity %f, err %v", cb, err)
 	}
 }
 
 func TestQueueIsBlocking(t *testing.T) {
-	cfg := queues.Config{Capacity: 64}
-	if !queueIsBlocking("Chan", cfg) {
+	if !queueIsBlocking("Chan") {
 		t.Fatal("Chan facade not detected as blocking")
 	}
-	if queueIsBlocking("wCQ", cfg) {
+	if queueIsBlocking("wCQ") {
 		t.Fatal("bare wCQ detected as blocking")
 	}
 }
