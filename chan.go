@@ -145,6 +145,10 @@ type ChanHandle[T any] struct {
 	// against the owner's read) — so no cache-line padding is needed.
 	rcell T
 	scell T
+	// w is this handle's park registration, reused by every blocking
+	// call on either park point: the handle's goroutine holds at most
+	// one registration at a time, and each ends in Finish or Abort.
+	w *park.Waiter
 }
 
 // handleSeed hands each ChanHandle a distinct jitter seed.
@@ -208,7 +212,7 @@ func (c *Chan[T]) Handle() (*ChanHandle[T], error) {
 	if err != nil {
 		return nil, err
 	}
-	return &ChanHandle[T]{c: c, h: h, rng: backoff.NewRand(handleSeed.Add(1))}, nil
+	return &ChanHandle[T]{c: c, h: h, rng: backoff.NewRand(handleSeed.Add(1)), w: park.NewWaiter()}, nil
 }
 
 // Cap returns the buffer capacity; 0 means unbounded
@@ -217,7 +221,7 @@ func (c *Chan[T]) Cap() uint64 { return c.core.Cap() }
 
 // Footprint returns the bytes the backing queue retains. For bounded
 // backends this is the construction-time allocation and never changes
-// (parked waiters draw from a shared pool); for BackendUnbounded and
+// (each Handle brings its own park waiter); for BackendUnbounded and
 // BackendShardedUnbounded it is the live ring footprint, which grows
 // with buffered values and shrinks after a drain.
 func (c *Chan[T]) Footprint() uint64 { return c.core.Footprint() }
@@ -268,6 +272,26 @@ func (c *Chan[T]) finishSendN(n int) {
 		c.notEmpty.WakeAll()
 	} else if n > 0 {
 		c.notEmpty.Wake(n)
+	}
+}
+
+// await blocks on a prepared registration until its wake token arrives
+// (true) or ctx expires first (false; the caller must Abort w). A
+// context that can never expire — Send/Recv's context.Background() —
+// has a nil Done channel, and the park is a plain token receive.
+//
+//wfq:noalloc
+func await(ctx context.Context, w *park.Waiter) bool {
+	done := ctx.Done()
+	if done == nil {
+		<-w.Ready()
+		return true
+	}
+	select {
+	case <-w.Ready():
+		return true
+	case <-done:
+		return false
 	}
 }
 
@@ -340,7 +364,8 @@ func (h *ChanHandle[T]) SendCtx(ctx context.Context, v T) error {
 			c.finishSend(true)
 			return nil
 		}
-		w := c.notFull.Prepare()
+		w := h.w
+		c.notFull.Prepare(w)
 		// Re-check after registering: a receiver may have freed a
 		// slot (or the Chan closed) before our waiter was visible,
 		// in which case its wake cannot have targeted us.
@@ -362,19 +387,7 @@ func (h *ChanHandle[T]) SendCtx(ctx context.Context, v T) error {
 		if c.takeover {
 			h.armSend(w, v)
 		}
-		select {
-		case <-w.Ready():
-			// Done before Finish: Finish recycles the waiter and resets
-			// its transfer state.
-			done := w.Done()
-			c.notFull.Finish(w)
-			if done {
-				// A receiver enqueued v for us (exactly once); signal a
-				// receiver for the value it made visible.
-				c.finishSend(true)
-				return nil
-			}
-		case <-ctx.Done():
+		if !await(ctx, w) {
 			if c.notFull.Abort(w) {
 				// The handoff landed before the abort: v is buffered.
 				c.finishSend(true)
@@ -382,6 +395,15 @@ func (h *ChanHandle[T]) SendCtx(ctx context.Context, v T) error {
 			}
 			c.finishSend(false)
 			return ctx.Err()
+		}
+		// Done before Finish: Finish resets the waiter's transfer state.
+		done := w.Done()
+		c.notFull.Finish(w)
+		if done {
+			// A receiver enqueued v for us (exactly once); signal a
+			// receiver for the value it made visible.
+			c.finishSend(true)
+			return nil
 		}
 	}
 }
@@ -510,7 +532,8 @@ func (h *ChanHandle[T]) SendManyCtx(ctx context.Context, vs []T) (int, error) {
 			c.notEmpty.Wake(progress)
 			continue
 		}
-		w := c.notFull.Prepare()
+		w := h.w
+		c.notFull.Prepare(w)
 		// Re-check after registering (lost-wakeup protocol, as SendCtx).
 		if c.closed.Load() {
 			c.notFull.Abort(w)
@@ -532,20 +555,7 @@ func (h *ChanHandle[T]) SendManyCtx(ctx context.Context, vs []T) (int, error) {
 		if c.takeover {
 			h.armSend(w, vs[sent])
 		}
-		select {
-		case <-w.Ready():
-			done := w.Done()
-			c.notFull.Finish(w)
-			if done {
-				// A receiver enqueued vs[sent] for us (exactly once).
-				sent++
-				if sent == len(vs) {
-					c.finishSendN(1)
-					return sent, nil
-				}
-				c.notEmpty.Wake(1)
-			}
-		case <-ctx.Done():
+		if !await(ctx, w) {
 			if c.notFull.Abort(w) {
 				// The takeover landed before the abort: vs[sent] is
 				// buffered and counts toward the delivered prefix.
@@ -558,6 +568,17 @@ func (h *ChanHandle[T]) SendManyCtx(ctx context.Context, vs []T) (int, error) {
 			}
 			c.finishSendN(0)
 			return sent, ctx.Err()
+		}
+		done := w.Done()
+		c.notFull.Finish(w)
+		if done {
+			// A receiver enqueued vs[sent] for us (exactly once).
+			sent++
+			if sent == len(vs) {
+				c.finishSendN(1)
+				return sent, nil
+			}
+			c.notEmpty.Wake(1)
 		}
 	}
 }
@@ -627,7 +648,8 @@ func (h *ChanHandle[T]) RecvManyCtx(ctx context.Context, out []T) (int, error) {
 			h.releaseSlots(sn)
 			return sn, nil
 		}
-		w := c.notEmpty.PrepareXfer(unsafe.Pointer(&h.rcell))
+		w := h.w
+		c.notEmpty.PrepareXfer(w, unsafe.Pointer(&h.rcell))
 		if !c.core.Empty() || (c.closed.Load() && c.sending.Load() == 0) {
 			if !w.Disarm() {
 				<-w.Ready()
@@ -654,22 +676,20 @@ func (h *ChanHandle[T]) RecvManyCtx(ctx context.Context, out []T) (int, error) {
 			c.notEmpty.Abort(w)
 			continue
 		}
-		select {
-		case <-w.Ready():
-			done := w.Done()
-			if done {
-				out[0] = h.rcell
-			}
-			c.notEmpty.Finish(w)
-			if done {
-				return 1, nil
-			}
-		case <-ctx.Done():
+		if !await(ctx, w) {
 			if c.notEmpty.Abort(w) {
 				out[0] = h.rcell
 				return 1, nil
 			}
 			return 0, ctx.Err()
+		}
+		done := w.Done()
+		if done {
+			out[0] = h.rcell
+		}
+		c.notEmpty.Finish(w)
+		if done {
+			return 1, nil
 		}
 	}
 }
@@ -718,7 +738,8 @@ func (h *ChanHandle[T]) RecvCtx(ctx context.Context) (T, error) {
 		}
 		// Park commit: register claimable. From here until a won Disarm
 		// this goroutine may not touch the ring.
-		w := c.notEmpty.PrepareXfer(unsafe.Pointer(&h.rcell))
+		w := h.w
+		c.notEmpty.PrepareXfer(w, unsafe.Pointer(&h.rcell))
 		// Re-check after registering (lost-wakeup protocol): a sender
 		// that missed the registration must have enqueued first, which
 		// this probe observes.
@@ -758,21 +779,7 @@ func (h *ChanHandle[T]) RecvCtx(ctx context.Context) (T, error) {
 			c.notEmpty.Abort(w)
 			continue
 		}
-		select {
-		case <-w.Ready():
-			// Done before Finish: Finish recycles the waiter and resets
-			// its transfer state.
-			done := w.Done()
-			var v T
-			if done {
-				v = h.rcell
-			}
-			c.notEmpty.Finish(w)
-			if done {
-				return v, nil
-			}
-			// Plain (possibly forwarded) wake: loop and re-check.
-		case <-ctx.Done():
+		if !await(ctx, w) {
 			if c.notEmpty.Abort(w) {
 				// The handoff landed before the abort: the value counts
 				// as delivered, exactly once — return it, not the error.
@@ -780,5 +787,16 @@ func (h *ChanHandle[T]) RecvCtx(ctx context.Context) (T, error) {
 			}
 			return zero, ctx.Err()
 		}
+		// Done before Finish: Finish resets the waiter's transfer state.
+		done := w.Done()
+		var v T
+		if done {
+			v = h.rcell
+		}
+		c.notEmpty.Finish(w)
+		if done {
+			return v, nil
+		}
+		// Plain (possibly forwarded) wake: loop and re-check.
 	}
 }

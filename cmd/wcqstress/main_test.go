@@ -81,6 +81,31 @@ func TestVarsShape(t *testing.T) {
 	}
 }
 
+// TestHandoffHitRateNeedsAnAttempt: the hit-rate gauge is left out
+// while no handoff has been attempted (a rate of nothing is not 0) and
+// served, at 0, once the first attempt missed.
+func TestHandoffHitRateNeedsAnAttempt(t *testing.T) {
+	sink := metrics.New()
+	q, err := queues.New("Chan", queues.Config{Capacity: 256, MaxThreads: 8, Metrics: sink})
+	if err != nil {
+		t.Fatal(err)
+	}
+	m := newMonitor(2)
+	m.watch(q)
+	if v, ok := m.vars(m.cur.Load())["handoff_hit_rate"]; ok {
+		t.Fatalf("handoff_hit_rate = %v before any attempt", v)
+	}
+	var b strings.Builder
+	m.promText(&b, m.cur.Load())
+	if strings.Contains(b.String(), "handoff_hit_rate") {
+		t.Fatalf("prometheus text serves handoff_hit_rate before any attempt:\n%s", b.String())
+	}
+	sink.Inc(metrics.HandoffMiss)
+	if v, ok := m.vars(m.cur.Load())["handoff_hit_rate"]; !ok || v.(float64) != 0 {
+		t.Fatalf("handoff_hit_rate = %v, %v after one missed attempt; want 0, true", v, ok)
+	}
+}
+
 func TestSnapshotFileValidates(t *testing.T) {
 	f := liveMonitor(t).snapshotFile(12345, 2*time.Second)
 	if err := f.Validate(); err != nil {

@@ -49,7 +49,8 @@ type series struct {
 }
 
 // read samples w: the scalar series and the sink snapshot (zero for
-// the external baselines, which have no sink).
+// the external baselines, which have no sink). handoff_hit_rate is
+// left out until a handoff attempt has been recorded.
 func (m *monitor) read(w *watched) ([]series, metrics.Snapshot) {
 	var snap metrics.Snapshot
 	if s, ok := w.Queue.(queueapi.Statser); ok {
@@ -59,16 +60,19 @@ func (m *monitor) read(w *watched) ([]series, metrics.Snapshot) {
 	if r, ok := w.Queue.(interface{ Rings() int }); ok {
 		rings = r.Rings()
 	}
-	return []series{
+	ss := []series{
 		{"values_total", "counter", "Values verified exactly-once and in per-producer order by completed rounds.", m.values.Load()},
 		{"rounds_total", "counter", "Completed verified rounds.", m.rounds.Load()},
 		{"footprint_bytes", "gauge", "Bytes the queue retains right now.", w.Footprint()},
 		{"rings", "gauge", "Live linked rings of an unbounded queue (0 when not applicable).", rings},
 		{"waiters", "gauge", "Goroutines currently parked on the queue's blocking facade.", snap.Waiters},
 		{"handoffs_total", "counter", "Values moved by the direct-handoff rendezvous fast path (sends into parked receivers plus takeovers of parked senders).", snap.Handoffs()},
-		{"handoff_hit_rate", "gauge", "Fraction of handoff attempts that moved a value past the ring, in [0, 1].", snap.HandoffRate()},
 		{"uptime_seconds", "gauge", "Seconds since the run started.", time.Since(m.start).Seconds()},
-	}, snap
+	}
+	if rate, ok := snap.HandoffRate(); ok {
+		ss = append(ss, series{"handoff_hit_rate", "gauge", "Fraction of handoff attempts that moved a value past the ring, in [0, 1].", rate})
+	}
+	return ss, snap
 }
 
 // quantiles flattens a nanosecond histogram snapshot into the

@@ -81,9 +81,11 @@ type Point struct {
 	Producers int `json:"producers,omitempty"`
 	Consumers int `json:"consumers,omitempty"`
 	// HandoffRate is the fraction of handoff attempts that delivered a
-	// value past the ring, in [0, 1] (handoff points only).
-	HandoffRate float64 `json:"handoff_rate,omitempty"`
-	Err         string  `json:"error,omitempty"`
+	// value past the ring, in [0, 1] (handoff points only). nil — the
+	// field absent — when the point recorded no attempt; a point whose
+	// every attempt missed carries 0.
+	HandoffRate *float64 `json:"handoff_rate,omitempty"`
+	Err         string   `json:"error,omitempty"`
 }
 
 // LatencyUS is the fixed percentile ladder every latency-carrying
@@ -199,9 +201,9 @@ func (f *File) Validate() error {
 			return fmt.Errorf("benchfmt: point %d (%s/%s) has spin-hit rate %f outside [0, 1]",
 				i, p.Figure, p.Queue, p.SpinHitRate)
 		}
-		if p.HandoffRate < 0 || p.HandoffRate > 1 {
+		if r := p.HandoffRate; r != nil && (*r < 0 || *r > 1) {
 			return fmt.Errorf("benchfmt: point %d (%s/%s) has handoff rate %f outside [0, 1]",
-				i, p.Figure, p.Queue, p.HandoffRate)
+				i, p.Figure, p.Queue, *r)
 		}
 		if p.Producers < 0 || p.Consumers < 0 {
 			return fmt.Errorf("benchfmt: point %d (%s/%s) has negative role split (%d:%d)",

@@ -75,6 +75,15 @@ type column struct {
 
 func mopsCell(p benchfmt.Point) string { return fmt.Sprintf("%.3f", p.MopsMean) }
 
+// hitRateCell prints a point's handoff hit rate, or n/a when the point
+// made no handoff attempt.
+func hitRateCell(p benchfmt.Point) string {
+	if p.HandoffRate == nil {
+		return "n/a"
+	}
+	return fmt.Sprintf("%.2f", *p.HandoffRate)
+}
+
 // ladderCell prints one rung of a point's latency ladder in µs.
 func ladderCell(rung func(*benchfmt.LatencyUS) float64) func(benchfmt.Point) string {
 	return func(p benchfmt.Point) string {
@@ -137,7 +146,7 @@ var (
 		row:   "split",
 		label: func(c Case) string { return fmt.Sprintf("%d:%d", c.Producers, c.Consumers) },
 		cols: append(ladderCols[:len(ladderCols):len(ladderCols)],
-			column{" hit-rate", func(p benchfmt.Point) string { return fmt.Sprintf("%.2f", p.HandoffRate) }}),
+			column{" hit-rate", hitRateCell}),
 		note: func(f Figure, _ Case) string { return f.Mode.String() },
 	}
 )
@@ -514,19 +523,26 @@ func (f Figure) Run(opts RunOpts) []benchfmt.Point {
 			pt.Figure, pt.Batch, pt.Burst, pt.Load = f.ID, c.Batch, c.Burst, c.Load
 			pt.Wait, pt.Producers, pt.Consumers = c.Wait, c.Producers, c.Consumers
 			if f.ladder && pt.Err == "" {
-				snap := cfg.Metrics.Snapshot()
-				pt.Latency = benchfmt.NewLatencyUS(snap.Parked)
-				if hits := snap.Counts[metrics.SpinHit]; c.Wait != "" && hits > 0 {
-					pt.SpinHitRate = float64(hits) / float64(hits+snap.Counts[metrics.SpinMiss])
-				}
-				if c.Producers > 0 {
-					pt.HandoffRate = snap.HandoffRate()
-				}
+				ladderStats(&pt, c, cfg.Metrics.Snapshot())
 			}
 			pts = append(pts, pt)
 		}
 	}
 	return pts
+}
+
+// ladderStats fills a ladder figure's point from the run's metrics: the
+// blocking-wait ladder, the spin-hit rate of a wait-strategy case and
+// the handoff hit rate of a split case (left nil when no handoff was
+// attempted).
+func ladderStats(pt *benchfmt.Point, c Case, snap metrics.Snapshot) {
+	pt.Latency = benchfmt.NewLatencyUS(snap.Parked)
+	if hits := snap.Counts[metrics.SpinHit]; c.Wait != "" && hits > 0 {
+		pt.SpinHitRate = float64(hits) / float64(hits+snap.Counts[metrics.SpinMiss])
+	}
+	if rate, ok := snap.HandoffRate(); ok && c.Producers > 0 {
+		pt.HandoffRate = &rate
+	}
 }
 
 // Render writes the figure's title line and table to w: one row per

@@ -1,11 +1,13 @@
 package harness
 
 import (
+	"encoding/json"
 	"strings"
 	"testing"
 
 	"repro/internal/atomicx"
 	"repro/internal/backoff"
+	"repro/internal/benchfmt"
 	"repro/internal/metrics"
 	"repro/internal/queues"
 )
@@ -191,5 +193,52 @@ func TestLadderFiguresRunAndRender(t *testing.T) {
 		if lines := strings.Split(strings.TrimSpace(out), "\n"); len(lines) != 2+len(c.f.Cases) {
 			t.Fatalf("%s: unexpected table shape:\n%s", c.f.ID, out)
 		}
+	}
+}
+
+// TestHandoffHitRate keeps "never tried" apart from "always missed" on
+// a handoff (h1) point, from the metrics snapshot through the JSON
+// field to the table cell.
+func TestHandoffHitRate(t *testing.T) {
+	for _, tc := range []struct {
+		name         string
+		hits, misses int
+		cell, json   string // json: the marshalled field, "" when absent
+	}{
+		{"no attempts", 0, 0, "n/a", ""},
+		{"all misses", 0, 3, "0.00", `"handoff_rate":0`},
+		{"all hits", 4, 0, "1.00", `"handoff_rate":1`},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			sink := metrics.New()
+			for i := 0; i < tc.hits; i++ {
+				sink.Inc(metrics.HandoffSend)
+			}
+			for i := 0; i < tc.misses; i++ {
+				sink.Inc(metrics.HandoffMiss)
+			}
+			snap := sink.Snapshot()
+			if _, ok := snap.HandoffRate(); ok != (tc.hits+tc.misses > 0) {
+				t.Fatalf("HandoffRate ok = %v with %d attempts", ok, tc.hits+tc.misses)
+			}
+			pt := benchfmt.Point{Figure: "h1", Queue: "Chan", Threads: 8}
+			ladderStats(&pt, Case{Threads: 8, Producers: 1, Consumers: 7}, snap)
+			if got := hitRateCell(pt); got != tc.cell {
+				t.Fatalf("hit-rate cell = %q, want %q", got, tc.cell)
+			}
+			b, err := json.Marshal(pt)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if has := strings.Contains(string(b), `"handoff_rate"`); has != (tc.json != "") ||
+				(has && !strings.Contains(string(b), tc.json)) {
+				t.Fatalf("point JSON %s, want field %q", b, tc.json)
+			}
+			f := benchfmt.New(1, 1)
+			f.Points = []benchfmt.Point{pt}
+			if err := f.Validate(); err != nil {
+				t.Fatal(err)
+			}
+		})
 	}
 }

@@ -340,15 +340,16 @@ func (s *Snapshot) Handoffs() uint64 {
 }
 
 // HandoffRate returns the fraction of handoff attempts that succeeded,
-// in [0, 1] — the hit rate figure h1 reports. Zero when no attempt was
-// recorded.
-func (s *Snapshot) HandoffRate() float64 {
+// in [0, 1] — the hit rate figure h1 reports — and whether any attempt
+// was recorded at all. With ok false the rate is undefined (reported
+// as 0): "never tried" is not "always missed".
+func (s *Snapshot) HandoffRate() (rate float64, ok bool) {
 	hits := s.Handoffs()
 	total := hits + s.Counts[HandoffMiss]
 	if total == 0 {
-		return 0
+		return 0, false
 	}
-	return float64(hits) / float64(total)
+	return float64(hits) / float64(total), true
 }
 
 // EachCount calls f once per event in taxonomy order with the event's

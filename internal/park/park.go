@@ -4,6 +4,11 @@
 // wait-free rings stay untouched, and blocking callers park here
 // instead of spin-polling.
 //
+// The caller owns its Waiter (NewWaiter, typically one per handle):
+// a registration borrows it from Prepare to Finish or Abort, both of
+// which leave its one-slot token channel empty, so the same Waiter
+// starts every later registration clean and parking allocates nothing.
+//
 // Waiting is a three-phase state machine (see SpinWait): (1) a
 // bounded spin re-checking the condition, (2) a short jittered
 // Gosched phase, (3) the futex park below. The spin budget adapts per
@@ -16,7 +21,7 @@
 // The park protocol mirrors a futex wait/wake pair and has no lost
 // wakeups:
 //
-//	waiter:  w := p.Prepare()          waker:  make condition true
+//	waiter:  p.Prepare(w)              waker:  make condition true
 //	         re-check condition                p.Wake(1)
 //	         (satisfied? p.Abort(w))
 //	         <-w.Ready(); p.Finish(w)
@@ -83,9 +88,12 @@ const (
 	xferDone
 )
 
-// Waiter is one goroutine's registration at a Point. It is created by
-// Point.Prepare and must be retired by exactly one of Point.Abort
-// (wake not consumed from Ready) or Point.Finish (wake consumed).
+// Waiter is one goroutine's registration slot. Its owner creates it
+// once with NewWaiter and registers it at a Point with Prepare or
+// PrepareXfer; each registration must be retired by exactly one of
+// Point.Abort (wake not consumed from Ready) or Point.Finish (wake
+// consumed) before the Waiter is registered again. A Waiter holds at
+// most one registration at a time, at one Point.
 type Waiter struct {
 	ch     chan struct{}
 	next   *Waiter
@@ -97,20 +105,22 @@ type Waiter struct {
 	// back to idle by Disarm. Plain registrations stay idle.
 	state atomic.Uint32
 	// cell points at the owner's typed transfer cell. It lives in the
-	// owner's handle — not here — so the pool-shared Waiter stays
-	// untyped and the value write is private to the claim/deliver pair.
-	// nil unless armed.
+	// owner's handle — not here — so the Waiter stays untyped and the
+	// value write is private to the claim/deliver pair. nil unless
+	// armed.
 	cell unsafe.Pointer
 }
 
-// Ready returns the channel a wake token is delivered on. It becomes
-// readable exactly once per registration; select on it against a
-// context or timer.
-func (w *Waiter) Ready() <-chan struct{} { return w.ch }
+// NewWaiter returns an idle Waiter with its one-slot token channel.
+// Allocate it once per owner and reuse it for every registration.
+func NewWaiter() *Waiter { return &Waiter{ch: make(chan struct{}, 1)} }
 
-// waiterPool recycles Waiters (and their one-slot channels) so a
-// steady park/unpark workload does not allocate.
-var waiterPool = sync.Pool{New: func() any { return &Waiter{ch: make(chan struct{}, 1)} }}
+// Ready returns the channel a wake token is delivered on. It becomes
+// readable exactly once per registration; receive from it, or select
+// on it against a context or timer.
+//
+//wfq:noalloc
+func (w *Waiter) Ready() <-chan struct{} { return w.ch }
 
 // Point is one parkable condition. The zero value is ready to use.
 // Wakers that find no one sleeping pay a single atomic load.
@@ -229,40 +239,13 @@ func (p *Point) SpinWait(rng *backoff.Rand, cond func() bool) bool {
 	return false
 }
 
-// Prepare registers the calling goroutine as a waiter. The caller
-// MUST re-check its condition after Prepare returns and Abort if it
-// is already satisfied; only then may it block on Ready.
-//
-//wfq:allocok pool-recycled waiter: allocates only until the pool is primed
-func (p *Point) Prepare() *Waiter {
-	w := waiterPool.Get().(*Waiter)
-	p.enqueueWaiter(w)
-	return w
-}
-
-// PrepareXfer is Prepare for a claimable waiter: it arms the
-// registration with the owner's transfer cell before the waiter
-// becomes visible on the list, so a waker may Claim it and publish a
-// value (or a completed enqueue) straight through the cell. The same
-// re-check-then-Abort contract as Prepare applies, with one addition:
-// after any wake — and after a failed Disarm — the owner must consult
-// Done to learn whether a handoff landed in its cell.
-//
-//wfq:allocok pool-recycled waiter: allocates only until the pool is primed
-func (p *Point) PrepareXfer(cell unsafe.Pointer) *Waiter {
-	w := waiterPool.Get().(*Waiter)
-	w.cell = cell
-	w.state.Store(xferArmed)
-	p.enqueueWaiter(w)
-	return w
-}
-
-// enqueueWaiter links w at the tail (FIFO) and publishes the
-// registration. Arming state must be set before this call: once the
-// waiter is listed, claimers can reach it.
+// Prepare registers the calling goroutine as a waiter through its
+// idle Waiter w, linking it at the tail (FIFO). The caller MUST
+// re-check its condition after Prepare returns and Abort if it is
+// already satisfied; only then may it block on Ready.
 //
 //wfq:allocok allocation-free; sync.Mutex and time calls are outside the checker whitelist
-func (p *Point) enqueueWaiter(w *Waiter) {
+func (p *Point) Prepare(w *Waiter) {
 	w.queued = true
 	if p.met.Enabled() {
 		p.met.Inc(metrics.Park)
@@ -278,6 +261,22 @@ func (p *Point) enqueueWaiter(w *Waiter) {
 	}
 	p.waiters.Add(1)
 	p.mu.Unlock()
+}
+
+// PrepareXfer is Prepare for a claimable waiter: it arms the
+// registration with the owner's transfer cell before the waiter
+// becomes visible on the list (once listed, claimers can reach it), so
+// a waker may Claim it and publish a value (or a completed enqueue)
+// straight through the cell. The same re-check-then-Abort contract as
+// Prepare applies, with one addition: after any wake — and after a
+// failed Disarm — the owner must consult Done to learn whether a
+// handoff landed in its cell.
+//
+//wfq:allocok allocation-free; sync.Mutex and time calls are outside the checker whitelist
+func (p *Point) PrepareXfer(w *Waiter, cell unsafe.Pointer) {
+	w.cell = cell
+	w.state.Store(xferArmed)
+	p.Prepare(w)
 }
 
 // unlink removes w from the list. Caller holds p.mu and w.queued.
@@ -513,10 +512,10 @@ func (p *Point) Abort(w *Waiter) bool {
 	if w.queued {
 		// Still listed, hence not claimed: Claim unlinks under this
 		// same lock before releasing, so a queued waiter has no
-		// claimer. (It may be armed; recycle resets that.)
+		// claimer. (It may be armed; reset clears that.)
 		p.unlink(w)
 		p.mu.Unlock()
-		p.recycle(w)
+		w.reset()
 		return false
 	}
 	p.mu.Unlock()
@@ -528,20 +527,20 @@ func (p *Point) Abort(w *Waiter) bool {
 		// A handoff landed between the owner's decision to abort and
 		// the claim. The token was this handoff's own — nothing to
 		// forward — and the cell value must be consumed by the caller.
-		p.recycle(w)
+		w.reset()
 		return true
 	}
 	// Pass the signal on. For the waker the delivery was wasted — the
 	// classic spurious wake — which is what the forwarded Wake(1)
 	// compensates for.
 	p.met.Inc(metrics.SpuriousWake)
-	p.recycle(w)
+	w.reset()
 	p.Wake(1)
 	return false
 }
 
 // Finish retires a registration whose token was consumed from Ready.
-func (p *Point) Finish(w *Waiter) { p.recycle(w) }
+func (p *Point) Finish(w *Waiter) { w.reset() }
 
 // Waiters reports how many goroutines are currently registered
 // (woken-but-not-yet-retired waiters do not count). Racy by nature; it
@@ -551,10 +550,13 @@ func (p *Point) Finish(w *Waiter) { p.recycle(w) }
 //wfq:noalloc
 func (p *Point) Waiters() int { return int(p.waiters.Load()) }
 
-func (p *Point) recycle(w *Waiter) {
+// reset returns a retired Waiter to idle for its owner's next
+// registration. Both retirement paths have emptied the token channel
+// by now (Finish: the owner consumed it; Abort: unlinked before any
+// wake, or drained), so only the fields need clearing.
+func (w *Waiter) reset() {
 	w.next, w.prev, w.queued = nil, nil, false
 	w.t0 = time.Time{}
 	w.cell = nil
 	w.state.Store(xferIdle)
-	waiterPool.Put(w)
 }

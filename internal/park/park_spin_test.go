@@ -26,7 +26,8 @@ func TestStaggeredWakeAllWakesEveryWaiter(t *testing.T) {
 	woken.Add(waiters)
 	for i := 0; i < waiters; i++ {
 		go func() {
-			w := p.Prepare()
+			w := NewWaiter()
+			p.Prepare(w)
 			registered.Done()
 			<-w.Ready()
 			p.Finish(w)
@@ -75,7 +76,8 @@ func TestWakeAllSingleTrancheFastPath(t *testing.T) {
 	p.SetMetrics(sink)
 	ws := make([]*Waiter, 5)
 	for i := range ws {
-		ws[i] = p.Prepare()
+		ws[i] = NewWaiter()
+		p.Prepare(ws[i])
 	}
 	p.WakeAll()
 	for _, w := range ws {
@@ -196,6 +198,7 @@ func TestSpinWaitConcurrent(t *testing.T) {
 	go func() { // consumer
 		defer wg.Done()
 		rng := backoff.NewRand(7)
+		w := NewWaiter()
 		for i := 0; i < rounds; i++ {
 			for {
 				if flag.Load() > 0 {
@@ -205,7 +208,7 @@ func TestSpinWaitConcurrent(t *testing.T) {
 				if p.SpinWait(&rng, func() bool { return flag.Load() > 0 }) {
 					continue
 				}
-				w := p.Prepare()
+				p.Prepare(w)
 				if flag.Load() > 0 {
 					p.Abort(w)
 					continue

@@ -20,7 +20,8 @@ func TestWakeWithNoWaitersIsNoop(t *testing.T) {
 
 func TestPrepareWakeFinish(t *testing.T) {
 	var p Point
-	w := p.Prepare()
+	w := NewWaiter()
+	p.Prepare(w)
 	if p.Waiters() != 1 {
 		t.Fatalf("waiters = %d after Prepare", p.Waiters())
 	}
@@ -38,20 +39,22 @@ func TestPrepareWakeFinish(t *testing.T) {
 
 func TestAbortBeforeWake(t *testing.T) {
 	var p Point
-	w := p.Prepare()
+	w := NewWaiter()
+	p.Prepare(w)
 	p.Abort(w)
 	if p.Waiters() != 0 {
 		t.Fatalf("waiters = %d after abort", p.Waiters())
 	}
-	p.Wake(1) // must not deliver to the aborted (recycled) waiter
+	p.Wake(1) // must not deliver to the aborted (retired) waiter
 }
 
 func TestAbortForwardsConsumedWake(t *testing.T) {
 	// w1 is woken but aborts (as a context-cancelled caller would);
 	// the wake must be forwarded to w2.
 	var p Point
-	w1 := p.Prepare()
-	w2 := p.Prepare()
+	w1, w2 := NewWaiter(), NewWaiter()
+	p.Prepare(w1)
+	p.Prepare(w2)
 	p.Wake(1) // targets w1 (FIFO)
 	p.Abort(w1)
 	select {
@@ -66,7 +69,8 @@ func TestWakeN(t *testing.T) {
 	var p Point
 	ws := make([]*Waiter, 5)
 	for i := range ws {
-		ws[i] = p.Prepare()
+		ws[i] = NewWaiter()
+		p.Prepare(ws[i])
 	}
 	p.Wake(3)
 	for i := 0; i < 3; i++ {
@@ -96,7 +100,9 @@ func TestWakeN(t *testing.T) {
 
 func TestFIFOWakeOrder(t *testing.T) {
 	var p Point
-	a, b := p.Prepare(), p.Prepare()
+	a, b := NewWaiter(), NewWaiter()
+	p.Prepare(a)
+	p.Prepare(b)
 	p.Wake(1)
 	select {
 	case <-b.Ready():
@@ -142,6 +148,7 @@ func TestNoLostWakeupProtocol(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
+			w := NewWaiter() // one per consumer, reused by every registration
 			for {
 				// Try to take one unit.
 				for {
@@ -159,7 +166,7 @@ func TestNoLostWakeupProtocol(t *testing.T) {
 				if consumed.Load() >= total {
 					return
 				}
-				w := p.Prepare()
+				p.Prepare(w)
 				if avail.Load() > 0 || consumed.Load() >= total {
 					p.Abort(w)
 					continue
@@ -186,7 +193,8 @@ func TestNoLostWakeupProtocol(t *testing.T) {
 func TestClaimDeliverHandoff(t *testing.T) {
 	var p Point
 	var cell uint64
-	w := p.PrepareXfer(unsafe.Pointer(&cell))
+	w := NewWaiter()
+	p.PrepareXfer(w, unsafe.Pointer(&cell))
 	cw, cp := p.Claim()
 	if cw != w || cp != unsafe.Pointer(&cell) {
 		t.Fatalf("Claim = %p, %p; want %p, %p", cw, cp, w, &cell)
@@ -213,7 +221,8 @@ func TestClaimDeliverHandoff(t *testing.T) {
 func TestDisarmWithdrawsClaimability(t *testing.T) {
 	var p Point
 	var cell int
-	w := p.PrepareXfer(unsafe.Pointer(&cell))
+	w := NewWaiter()
+	p.PrepareXfer(w, unsafe.Pointer(&cell))
 	if !w.Disarm() {
 		t.Fatal("Disarm lost with no claimer")
 	}
@@ -231,7 +240,8 @@ func TestDisarmWithdrawsClaimability(t *testing.T) {
 func TestClaimBeatsDisarm(t *testing.T) {
 	var p Point
 	var cell int
-	w := p.PrepareXfer(unsafe.Pointer(&cell))
+	w := NewWaiter()
+	p.PrepareXfer(w, unsafe.Pointer(&cell))
 	cw, cp := p.Claim()
 	if cw == nil {
 		t.Fatal("Claim failed on an armed waiter")
@@ -257,7 +267,8 @@ func TestClaimBeatsDisarm(t *testing.T) {
 func TestAbortLosesToClaim(t *testing.T) {
 	var p Point
 	var cell uint64
-	w := p.PrepareXfer(unsafe.Pointer(&cell))
+	w := NewWaiter()
+	p.PrepareXfer(w, unsafe.Pointer(&cell))
 	cw, cp := p.Claim() // claimer wins before the owner aborts
 	if cw == nil {
 		t.Fatal("Claim failed on an armed waiter")
@@ -292,7 +303,8 @@ func TestDeliverWakeAbandonsClaim(t *testing.T) {
 	// sees a spurious wake (Done false) and retries its normal path.
 	var p Point
 	var cell int
-	w := p.PrepareXfer(unsafe.Pointer(&cell))
+	w := NewWaiter()
+	p.PrepareXfer(w, unsafe.Pointer(&cell))
 	cw, _ := p.Claim()
 	if cw == nil {
 		t.Fatal("Claim failed on an armed waiter")
@@ -312,7 +324,8 @@ func TestDeliverWakeAbandonsClaim(t *testing.T) {
 func TestArmUpgradesPlainRegistration(t *testing.T) {
 	var p Point
 	var cell int
-	w := p.Prepare()
+	w := NewWaiter()
+	p.Prepare(w)
 	if cw, _ := p.Claim(); cw != nil {
 		t.Fatal("Claim succeeded on a plain (unarmed) waiter")
 	}
@@ -336,8 +349,9 @@ func TestClaimSkipsUnarmedWaiters(t *testing.T) {
 	// one, leaving the plain waiter queued for a normal wake.
 	var p Point
 	var cell int
-	plain := p.Prepare()
-	armed := p.PrepareXfer(unsafe.Pointer(&cell))
+	plain, armed := NewWaiter(), NewWaiter()
+	p.Prepare(plain)
+	p.PrepareXfer(armed, unsafe.Pointer(&cell))
 	cw, _ := p.Claim()
 	if cw != armed {
 		t.Fatalf("Claim = %p, want the armed waiter %p", cw, armed)
@@ -363,6 +377,7 @@ func TestClaimDisarmRace(t *testing.T) {
 	var delivered, kept atomic.Uint64
 	var wg sync.WaitGroup
 	stop := make(chan struct{})
+	w := NewWaiter() // one owner: every round reuses it
 	wg.Add(1)
 	go func() { // claimer
 		defer wg.Done()
@@ -380,7 +395,7 @@ func TestClaimDisarmRace(t *testing.T) {
 	}()
 	for i := 0; i < rounds; i++ {
 		var cell uint64
-		w := p.PrepareXfer(unsafe.Pointer(&cell))
+		p.PrepareXfer(w, unsafe.Pointer(&cell))
 		if w.Disarm() {
 			// Withdrawn: no handoff can land; the cell must stay zero.
 			if cell != 0 {
@@ -408,5 +423,94 @@ func TestClaimDisarmRace(t *testing.T) {
 	}
 	if p.Waiters() != 0 {
 		t.Fatalf("waiters = %d at end", p.Waiters())
+	}
+}
+
+// TestRetiredWaiterStartsClean pins the invariant that makes a
+// caller-owned Waiter reusable: whichever way Abort retires a
+// registration whose token was already sent — a plain wake it forwards,
+// a claim whose Disarm the owner lost — the token is drained, so the
+// Waiter's next registration starts with an empty Ready channel and no
+// leftover transfer state.
+func TestRetiredWaiterStartsClean(t *testing.T) {
+	cases := []struct {
+		name   string
+		retire func(t *testing.T, p *Point, w *Waiter)
+	}{
+		{"forwarded wake", func(t *testing.T, p *Point, w *Waiter) {
+			other := NewWaiter()
+			p.Prepare(w)
+			p.Prepare(other)
+			p.Wake(1) // targets w (FIFO)
+			if p.Abort(w) {
+				t.Fatal("Abort reported a handoff on a plain registration")
+			}
+			select {
+			case <-other.Ready():
+				p.Finish(other)
+			case <-time.After(time.Second):
+				t.Fatal("wake not forwarded to the next waiter")
+			}
+		}},
+		{"forwarded wake, nobody left", func(t *testing.T, p *Point, w *Waiter) {
+			p.Prepare(w)
+			p.Wake(1)
+			if p.Abort(w) {
+				t.Fatal("Abort reported a handoff on a plain registration")
+			}
+		}},
+		{"lost Disarm", func(t *testing.T, p *Point, w *Waiter) {
+			var cell int
+			p.PrepareXfer(w, unsafe.Pointer(&cell))
+			cw, cp := p.Claim()
+			if cw != w {
+				t.Fatal("Claim failed on an armed waiter")
+			}
+			if w.Disarm() {
+				t.Fatal("Disarm won after Claim already had")
+			}
+			*(*int)(cp) = 3
+			p.Deliver(cw)
+			if !p.Abort(w) || cell != 3 {
+				t.Fatalf("Abort after a delivered claim: cell = %d", cell)
+			}
+		}},
+		{"abandoned claim", func(t *testing.T, p *Point, w *Waiter) {
+			var cell int
+			p.PrepareXfer(w, unsafe.Pointer(&cell))
+			cw, _ := p.Claim()
+			if cw != w || w.Disarm() {
+				t.Fatal("claim did not win the registration")
+			}
+			p.DeliverWake(cw)
+			if p.Abort(w) {
+				t.Fatal("Abort reported a handoff for an abandoned claim")
+			}
+		}},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			var p Point
+			w := NewWaiter()
+			tc.retire(t, &p, w)
+			if p.Waiters() != 0 {
+				t.Fatalf("waiters = %d after retirement", p.Waiters())
+			}
+			p.Prepare(w) // the next registration, same Waiter
+			select {
+			case <-w.Ready():
+				t.Fatal("stale token: Ready readable before any wake")
+			default:
+			}
+			if w.Done() {
+				t.Fatal("stale transfer state: Done() = true on a fresh registration")
+			}
+			if cw, _ := p.Claim(); cw != nil {
+				t.Fatal("stale arming: a plain registration was claimable")
+			}
+			p.Wake(1)
+			<-w.Ready()
+			p.Finish(w)
+		})
 	}
 }
